@@ -1372,20 +1372,18 @@ inline void BenchDriverUsage() {
       "                    process must run identical flags\n");
 }
 
-/// Shared main() body for megabench and the fig* stub binaries;
-/// `forced_fig` pins the figure (stubs), -1 reads --fig/--query.
-inline int BenchDriverMain(int argc, char** argv, int forced_fig = -1) {
+/// main() body of megabench: runs the figure named by --fig/--query.
+inline int BenchDriverMain(int argc, char** argv) {
   Flags flags(argc, argv);
   if (flags.GetBool("help", false)) {
     BenchDriverUsage();
     return 0;
   }
-  if (forced_fig < 0 && flags.GetBool("steady", false)) {
+  if (flags.GetBool("steady", false)) {
     return RunSteadySuite(flags);
   }
 
-  int fig = forced_fig > 0 ? forced_fig
-                           : static_cast<int>(flags.GetInt("fig", 0));
+  int fig = static_cast<int>(flags.GetInt("fig", 0));
   if (fig == 0 && flags.Has("query")) {
     fig = static_cast<int>(flags.GetInt("query", 3)) + 4;
   }

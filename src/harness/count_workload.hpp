@@ -158,6 +158,19 @@ inline uint64_t CountKey(uint64_t seed, uint64_t idx, uint64_t domain) {
 
 inline int Log2(uint64_t v) { return 63 - __builtin_clzll(v); }
 
+/// Publishes spill knobs into GlobalLogStateOptions(); empty / 0 keep the
+/// current value. LogState backends are default-constructed inside bins
+/// and snapshot the process-global options at construction, so call this
+/// before any worker thread builds a dataflow.
+inline void PublishSpillOptions(const std::string& dir,
+                                uint64_t memtable_bytes,
+                                uint64_t segment_bytes) {
+  state::LogStateOptions& o = state::GlobalLogStateOptions();
+  if (!dir.empty()) o.dir = dir;
+  if (memtable_bytes != 0) o.memtable_bytes = memtable_bytes;
+  if (segment_bytes != 0) o.segment_bytes = segment_bytes;
+}
+
 /// Deterministically decides whether record `idx` is part of the hot-key
 /// skew (`pct` percent are, once the skew is active). Independent of the
 /// key hash so flipping the skew on never changes the cold keys.
@@ -224,18 +237,9 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
   const bool is_native = cfg.mode == CountMode::kNativeHash ||
                          cfg.mode == CountMode::kNativeKey;
 
-  // LogState backends are default-constructed inside bins and snapshot
-  // the process-global options at construction, so the spill knobs must
-  // be published before any worker thread builds a dataflow.
   if (cfg.mode == CountMode::kSpillCount) {
-    state::LogStateOptions& o = state::GlobalLogStateOptions();
-    if (!cfg.state_dir.empty()) o.dir = cfg.state_dir;
-    if (cfg.spill_memtable_bytes != 0) {
-      o.memtable_bytes = cfg.spill_memtable_bytes;
-    }
-    if (cfg.spill_segment_bytes != 0) {
-      o.segment_bytes = cfg.spill_segment_bytes;
-    }
+    detail::PublishSpillOptions(cfg.state_dir, cfg.spill_memtable_bytes,
+                                cfg.spill_segment_bytes);
   }
 
   timely::Execute(tcfg, [&](Worker& w) {
@@ -757,18 +761,13 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
   }
   result.start_epoch = start_epoch;
 
-  // Spill backend plumbing. LogState bins are default-constructed and
-  // snapshot the process-global options, so publish the knobs before any
-  // worker spawns; the checkpoint scope keys LogState::Serialize into
-  // manifest mode for the whole run (set here on the harness thread —
-  // workers only ever read it).
+  // Spill backend plumbing: publish the knobs before any worker spawns;
+  // the checkpoint scope keys LogState::Serialize into manifest mode for
+  // the whole run (set here on the harness thread — workers only ever
+  // read it).
   std::optional<state::CheckpointDirScope> ck_scope;
   if (cfg.backend == DetCountConfig::Backend::kLog) {
-    state::LogStateOptions& o = state::GlobalLogStateOptions();
-    if (!cfg.state_dir.empty()) o.dir = cfg.state_dir;
-    if (cfg.spill_memtable_bytes != 0) {
-      o.memtable_bytes = cfg.spill_memtable_bytes;
-    }
+    detail::PublishSpillOptions(cfg.state_dir, cfg.spill_memtable_bytes, 0);
     if (ck_enabled) ck_scope.emplace(cfg.checkpoint_dir);
   }
 

@@ -9,9 +9,10 @@
 // (src/state/): a backend exposing whole-value serde *and* a chunk
 // interface, so a bin can leave its worker either as one monolithic frame
 // or as a sequence of size-bounded chunk frames (BinChunk) absorbed
-// incrementally at the destination. Bin and BinaryBin share one
-// serde/chunk implementation (detail::SerializeParts and friends) that is
-// variadic over the pending maps.
+// incrementally at the destination. One bin type, LaneBin, serves
+// operators of any number of data inputs: it keeps one pending map per
+// input, and its serde/chunk implementation (detail::SerializeParts and
+// friends) is variadic over those maps.
 //
 // The F and S operator instances on the same worker share the bin
 // container through a shared pointer — they run on the same thread, so no
@@ -22,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -39,8 +41,8 @@ constexpr uint8_t kSecWhole = 0;     // monolithic whole-bin encoding
 constexpr uint8_t kSecState = 1;     // one backend state chunk
 constexpr uint8_t kSecPending0 = 2;  // pending map i at tag kSecPending0+i
 
-/// Whole-value serde shared by Bin and BinaryBin: the state backend
-/// followed by each pending map, in declaration order.
+/// Whole-value serde of a bin: the state backend followed by each pending
+/// map, in lane order.
 template <typename Backend, typename... Pending>
 void SerializeParts(Writer& w, const Backend& backend,
                     const Pending&... pending) {
@@ -54,9 +56,9 @@ void DeserializeParts(Reader& r, Backend& backend, Pending&... pending) {
   ((pending = Decode<Pending>(r)), ...);
 }
 
-/// Chunked extraction shared by Bin and BinaryBin: state sections from the
-/// backend's enumerator, then each pending map's encoding sliced into
-/// bounded sections. `max_bytes == 0` produces the monolithic form — one
+/// Chunked extraction of a bin: state sections from the backend's
+/// enumerator, then each pending map's encoding sliced into bounded
+/// sections. `max_bytes == 0` produces the monolithic form — one
 /// frame holding a single whole-bin section.
 template <typename Backend, typename... Pending>
 void DrainPartsChunks(size_t max_bytes,
@@ -81,9 +83,9 @@ void DrainPartsChunks(size_t max_bytes,
   cb.Finish();
 }
 
-/// Incremental absorption shared by Bin and BinaryBin. Pending-map
-/// sections accumulate into `bufs` (one buffer per map) until the last
-/// frame, whose arrival finalizes the backend and decodes the maps.
+/// Incremental absorption of a bin. Pending-map sections accumulate into
+/// `bufs` (one buffer per map) until the last frame, whose arrival
+/// finalizes the backend and decodes the maps.
 template <size_t N, typename Backend, typename... Pending>
 void AbsorbPartsChunk(Reader& r, bool last,
                       std::array<std::vector<uint8_t>, N>& bufs,
@@ -124,101 +126,85 @@ void AbsorbPartsChunk(Reader& r, bool last,
 
 }  // namespace detail
 
-/// State and pending records of one bin for a unary operator.
-template <typename S, typename D, typename T>
-struct Bin {
+/// State and pending records of one bin of a stateful operator with one
+/// data input (lane) per record type `Ds`. `pending` holds, per lane, the
+/// post-dated records by time; the whole-value and chunk encodings are the
+/// state followed by each lane's pending map, in lane order.
+template <typename S, typename T, typename... Ds>
+struct LaneBin {
+  static_assert(sizeof...(Ds) > 0, "a bin needs at least one lane");
   using Backend = state::BackendFor<S>;
+  using Records = std::tuple<Ds...>;
+  static constexpr size_t kLanes = sizeof...(Ds);
 
   Backend state{};
-  std::map<T, std::vector<D>> pending;  // post-dated records by time
+  std::tuple<std::map<T, std::vector<Ds>>...> pending;
 
   /// The state reference the operator logic sees: the declared type S.
   S& user_state() { return state::BackendSel<S>::user(state); }
 
   template <typename Fn>
   void ForEachPendingTime(Fn fn) const {
-    for (const auto& [t, _] : pending) fn(t);
+    ForEachPendingMap([&](const auto& m) {
+      for (const auto& [t, _] : m) fn(t);
+    });
   }
 
   /// Cheap size estimate for load statistics: state entries (when the
-  /// backend exposes a count) plus pending records, scaled by the record
-  /// size. Relative weight only — the adaptive controller compares bins
-  /// against each other, it never bills exact bytes.
+  /// backend exposes a count) plus pending records, scaled by the mean
+  /// record size over the lanes. Relative weight only — the adaptive
+  /// controller compares bins against each other, it never bills exact
+  /// bytes.
   uint64_t ApproxBytes() const {
     uint64_t n = 0;
     if constexpr (requires { state.size(); }) n = state.size();
-    for (const auto& [t, v] : pending) n += v.size();
-    return n * sizeof(D);
+    ForEachPendingMap([&](const auto& m) {
+      for (const auto& [t, v] : m) n += v.size();
+    });
+    return n * ((sizeof(Ds) + ...) / kLanes);
   }
 
   void Serialize(Writer& w) const {
-    detail::SerializeParts(w, state, pending);
+    std::apply(
+        [&](const auto&... p) { detail::SerializeParts(w, state, p...); },
+        pending);
   }
-  static Bin Deserialize(Reader& r) {
-    Bin b;
-    detail::DeserializeParts(r, b.state, b.pending);
+  static LaneBin Deserialize(Reader& r) {
+    LaneBin b;
+    std::apply(
+        [&](auto&... p) { detail::DeserializeParts(r, b.state, p...); },
+        b.pending);
     return b;
   }
 
   void DrainChunks(size_t max_bytes,
                    std::vector<std::vector<uint8_t>>& out) const {
-    detail::DrainPartsChunks(max_bytes, out, state, pending);
+    std::apply(
+        [&](const auto&... p) {
+          detail::DrainPartsChunks(max_bytes, out, state, p...);
+        },
+        pending);
   }
   void AbsorbChunk(Reader& r, bool last) {
-    detail::AbsorbPartsChunk(r, last, absorb_bufs_, state, pending);
+    std::apply(
+        [&](auto&... p) {
+          detail::AbsorbPartsChunk(r, last, absorb_bufs_, state, p...);
+        },
+        pending);
   }
 
  private:
-  std::array<std::vector<uint8_t>, 1> absorb_bufs_;
-};
-
-/// State and pending records of one bin for a binary operator.
-template <typename S, typename D1, typename D2, typename T>
-struct BinaryBin {
-  using Backend = state::BackendFor<S>;
-
-  Backend state{};
-  std::map<T, std::vector<D1>> pending1;
-  std::map<T, std::vector<D2>> pending2;
-
-  S& user_state() { return state::BackendSel<S>::user(state); }
-
   template <typename Fn>
-  void ForEachPendingTime(Fn fn) const {
-    for (const auto& [t, _] : pending1) fn(t);
-    for (const auto& [t, _] : pending2) fn(t);
+  void ForEachPendingMap(Fn fn) const {
+    std::apply([&](const auto&... p) { (fn(p), ...); }, pending);
   }
 
-  /// See Bin::ApproxBytes.
-  uint64_t ApproxBytes() const {
-    uint64_t n = 0;
-    if constexpr (requires { state.size(); }) n = state.size();
-    for (const auto& [t, v] : pending1) n += v.size();
-    for (const auto& [t, v] : pending2) n += v.size();
-    return n * ((sizeof(D1) + sizeof(D2)) / 2);
-  }
-
-  void Serialize(Writer& w) const {
-    detail::SerializeParts(w, state, pending1, pending2);
-  }
-  static BinaryBin Deserialize(Reader& r) {
-    BinaryBin b;
-    detail::DeserializeParts(r, b.state, b.pending1, b.pending2);
-    return b;
-  }
-
-  void DrainChunks(size_t max_bytes,
-                   std::vector<std::vector<uint8_t>>& out) const {
-    detail::DrainPartsChunks(max_bytes, out, state, pending1, pending2);
-  }
-  void AbsorbChunk(Reader& r, bool last) {
-    detail::AbsorbPartsChunk(r, last, absorb_bufs_, state, pending1,
-                             pending2);
-  }
-
- private:
-  std::array<std::vector<uint8_t>, 2> absorb_bufs_;
+  std::array<std::vector<uint8_t>, kLanes> absorb_bufs_;
 };
+
+/// The bin of a single-input operator.
+template <typename S, typename D, typename T>
+using Bin = LaneBin<S, T, D>;
 
 /// The per-worker bin container shared between co-located F and S
 /// instances. `bins[b] == nullptr` means bin b is not (or not yet)

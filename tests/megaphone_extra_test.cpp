@@ -1,6 +1,6 @@
 // Additional Megaphone tests: coordinated multi-operator migration,
 // migration stress (ping-pong), controller pacing (drain gap), bin
-// container accounting, and misuse checks.
+// container accounting, the pinned bin wire format, and misuse checks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,10 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -301,7 +304,7 @@ TEST(MegaphoneExtra, BinsSharedAccounting) {
   EXPECT_EQ(shared.ResidentBins(), 0u);
   shared.bins[1] = std::make_unique<BinT>();
   shared.bins[1]->user_state() = 99;
-  shared.bins[1]->pending[7].push_back(42);
+  std::get<0>(shared.bins[1]->pending)[7].push_back(42);
   shared.bins[3] = std::make_unique<BinT>();
   EXPECT_EQ(shared.ResidentBins(), 2u);
 
@@ -327,8 +330,8 @@ TEST(MegaphoneExtra, BinsSharedAccounting) {
   Reader r(frames[0].bytes);
   back.AbsorbChunk(r, /*last=*/true);
   EXPECT_EQ(back.user_state(), 99u);
-  ASSERT_EQ(back.pending[7].size(), 1u);
-  EXPECT_EQ(back.pending[7][0], 42u);
+  ASSERT_EQ(std::get<0>(back.pending)[7].size(), 1u);
+  EXPECT_EQ(std::get<0>(back.pending)[7][0], 42u);
 
   // Extracting a non-resident bin yields nothing to ship.
   EXPECT_TRUE(detail::ExtractBinChunks(shared, 0, 2, 0).empty());
@@ -340,8 +343,8 @@ TEST(MegaphoneExtra, ChunkedExtractionRebuildsTheSameBin) {
   shared.bins[0] = std::make_unique<BinT>();
   auto& st = shared.bins[0]->user_state();
   for (uint64_t k = 0; k < 500; ++k) st[k] = k * 3;
-  shared.bins[0]->pending[11] = {1, 2, 3};
-  shared.bins[0]->pending[12] = {4};
+  std::get<0>(shared.bins[0]->pending)[11] = {1, 2, 3};
+  std::get<0>(shared.bins[0]->pending)[12] = {4};
   shared.RegisterPending(11, 0);
   shared.RegisterPending(12, 0);
 
@@ -364,8 +367,77 @@ TEST(MegaphoneExtra, ChunkedExtractionRebuildsTheSameBin) {
   }
   EXPECT_EQ(back.user_state().size(), 500u);
   EXPECT_EQ(back.user_state()[123], 369u);
-  EXPECT_EQ(back.pending, (std::map<uint64_t, std::vector<uint64_t>>{
-                              {11, {1, 2, 3}}, {12, {4}}}));
+  EXPECT_EQ(std::get<0>(back.pending),
+            (std::map<uint64_t, std::vector<uint64_t>>{{11, {1, 2, 3}},
+                                                        {12, {4}}}));
+}
+
+// Pins the bin wire format: checkpoints on disk and external decoders of
+// captured bins depend on these exact bytes, which a round-trip test
+// cannot see. Each frame is checked as (length, HashBytes) against values
+// recorded from the encoding as it was first shipped. Regenerate only for a
+// deliberate, versioned format change.
+using FrameDigest = std::pair<size_t, uint64_t>;
+
+std::vector<FrameDigest> Digests(
+    const std::vector<std::vector<uint8_t>>& frames) {
+  std::vector<FrameDigest> out;
+  for (const auto& f : frames) {
+    out.emplace_back(f.size(),
+                     HashBytes(std::string_view(
+                         reinterpret_cast<const char*>(f.data()), f.size())));
+  }
+  return out;
+}
+
+template <typename BinT>
+std::vector<FrameDigest> SerializeDigest(const BinT& bin) {
+  Writer w;
+  bin.Serialize(w);
+  return Digests({w.Take()});
+}
+
+template <typename BinT>
+std::vector<FrameDigest> ChunkDigests(const BinT& bin, size_t bound) {
+  std::vector<std::vector<uint8_t>> frames;
+  bin.DrainChunks(bound, frames);
+  return Digests(frames);
+}
+
+TEST(MegaphoneExtra, BinWireFormatIsPinned) {
+  Bin<std::vector<uint64_t>, uint64_t, uint64_t> u;
+  for (uint64_t i = 0; i < 6; ++i) u.user_state().push_back(i * 7 + 1);
+  std::get<0>(u.pending)[5] = {10, 11, 12};
+  std::get<0>(u.pending)[9] = {13};
+
+  LaneBin<std::map<uint64_t, uint64_t>, uint64_t, uint64_t, std::string> b;
+  for (uint64_t k = 0; k < 4; ++k) b.user_state()[k * 3] = k + 100;
+  std::get<0>(b.pending)[4] = {20, 21};
+  std::get<1>(b.pending)[4] = {"ab"};
+  std::get<1>(b.pending)[6] = {"cde", ""};
+
+  // Whole-value (checkpoint) encoding.
+  EXPECT_EQ(SerializeDigest(u),
+            (std::vector<FrameDigest>{{128, 0x86af970f8ff92c22ULL}}));
+  EXPECT_EQ(SerializeDigest(b),
+            (std::vector<FrameDigest>{{181, 0x2f8fc175a6575a6bULL}}));
+  // Monolithic migration frame.
+  EXPECT_EQ(ChunkDigests(u, 0),
+            (std::vector<FrameDigest>{{137, 0x58838dc14c2d6389ULL}}));
+  EXPECT_EQ(ChunkDigests(b, 0),
+            (std::vector<FrameDigest>{{190, 0x4475ce8235ed3072ULL}}));
+  // Chunk frames at a 48-byte bound.
+  EXPECT_EQ(ChunkDigests(u, 48), (std::vector<FrameDigest>{
+                                     {57, 0xe73175755ee50a2dULL},
+                                     {25, 0xa439d34f31f88cb7ULL},
+                                     {57, 0xd1a27e4dabd4fb31ULL},
+                                     {33, 0x22e03d1bcae090e7ULL}}));
+  EXPECT_EQ(ChunkDigests(b, 48), (std::vector<FrameDigest>{
+                                     {57, 0x7834b636e5ea429dULL},
+                                     {25, 0x736881d4618789f7ULL},
+                                     {49, 0x0cec23a675ea2fccULL},
+                                     {57, 0xa3976f9bb62c73c8ULL},
+                                     {30, 0x9fd6d8fc0483ec5eULL}}));
 }
 
 TEST(MegaphoneExtra, PlanBatchesEmptyDiff) {

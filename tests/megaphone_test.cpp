@@ -385,11 +385,17 @@ TEST(Megaphone, PostDatedRecordsMigrateChunked) {
 }
 
 // Symmetric hash join keyed by k; outputs every (a, b) pair exactly once
-// at max(time(a), time(b)), across two migrations.
+// at max(time(a), time(b)), across two migrations. Each input record also
+// post-dates an echo of itself on its own input — a-records three epochs
+// ahead (Schedule1), b-records two (Schedule2) — so both lanes' pending
+// maps are in flight when bins move; every echo must fire exactly once,
+// at its time, wherever its bin then lives.
 void RunBinaryJoinTest(uint64_t chunk_bytes) {
   using A = std::pair<uint64_t, uint64_t>;  // (key, a-value)
   using B = std::pair<uint64_t, uint64_t>;  // (key, b-value)
+  // (key, a, b, time); echoes are (k, a|kEcho, 0, t) and (k, 0, b|kEcho, t).
   using Out = std::tuple<uint64_t, uint64_t, uint64_t, uint64_t>;
+  constexpr uint64_t kEcho = uint64_t{1} << 63;
   using JoinState =
       std::unordered_map<uint64_t,
                          std::pair<std::vector<uint64_t>, std::vector<uint64_t>>>;
@@ -412,14 +418,24 @@ void RunBinaryJoinTest(uint64_t chunk_bytes) {
           [](const A& a) { return HashMix64(a.first); },
           [](const B& b) { return HashMix64(b.first); },
           [](const uint64_t& t, JoinState& state, std::vector<A>& as,
-             std::vector<B>& bs, auto emit, auto&) {
+             std::vector<B>& bs, auto emit, auto& sched) {
             for (auto& [k, a] : as) {
+              if (a & kEcho) {
+                emit(Out{k, a, 0, t});
+                continue;
+              }
               for (uint64_t b : state[k].second) emit(Out{k, a, b, t});
               state[k].first.push_back(a);
+              sched.Schedule1(t + 3, A{k, a | kEcho});
             }
             for (auto& [k, b] : bs) {
+              if (b & kEcho) {
+                emit(Out{k, 0, b, t});
+                continue;
+              }
               for (uint64_t a : state[k].first) emit(Out{k, a, b, t});
               state[k].second.push_back(b);
+              sched.Schedule2(t + 2, B{k, b | kEcho});
             }
           },
           cfg);
@@ -476,6 +492,12 @@ void RunBinaryJoinTest(uint64_t chunk_bytes) {
         for (auto& [b, tb] : bs[k]) {
           expected.push_back(Out{k, a, b, std::max(ta, tb)});
         }
+        expected.push_back(Out{k, a | kEcho, 0, ta + 3});
+      }
+    }
+    for (auto& [k, bvec] : bs) {
+      for (auto& [b, tb] : bvec) {
+        expected.push_back(Out{k, 0, b | kEcho, tb + 2});
       }
     }
   }
@@ -490,6 +512,10 @@ TEST(Megaphone, BinaryJoinUnderMigration) {
 
 TEST(Megaphone, BinaryJoinUnderChunkedMigration) {
   RunBinaryJoinTest(/*chunk_bytes=*/96);
+}
+
+TEST(Megaphone, BinaryJoinPendingOnBothInputsMigratesChunked) {
+  RunBinaryJoinTest(/*chunk_bytes=*/48);
 }
 
 TEST(Megaphone, StateMachineInterface) {
