@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "harness/harness.hpp"
+#include "harness/nexmark_workload.hpp"
 
 namespace megaphone {
 namespace {
@@ -186,6 +187,30 @@ INSTANTIATE_TEST_SUITE_P(Modes, CountBenchModes,
                            }
                            return "Unknown";
                          });
+
+// The open-loop NEXMark driver end to end: Q3 with one batched migration
+// must inject events, produce join outputs, observe exactly one migration
+// window and fill the timeline and the steady histogram.
+TEST(NexmarkBench, SmokeRunWithMigration) {
+  NexmarkBenchConfig cfg;
+  cfg.query = 3;
+  cfg.workers = 2;
+  cfg.rate = 20'000;
+  cfg.duration_ms = 800;
+  cfg.qcfg.num_bins = 16;
+  cfg.strategy = MigrationStrategy::kBatched;
+  cfg.batch_size = 4;
+  cfg.migrations.push_back(
+      {300, MakeImbalancedAssignment(cfg.qcfg.num_bins, cfg.workers)});
+  auto result = RunNexmarkBench(cfg);
+  EXPECT_GT(result.events_sent, 0u);
+  EXPECT_GT(result.outputs, 0u);
+  ASSERT_EQ(result.migrations.size(), 1u);
+  EXPECT_GT(result.migrations[0].end_sec, result.migrations[0].start_sec);
+  EXPECT_GE(result.migrations[0].batches, 1u);
+  EXPECT_FALSE(result.timeline.Rows().empty());
+  EXPECT_GT(result.steady.total(), 0u);
+}
 
 }  // namespace
 }  // namespace megaphone
