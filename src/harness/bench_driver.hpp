@@ -1,7 +1,6 @@
-// The unified figure-bench driver behind `megabench` and every fig*
-// binary: one flag surface (--fig/--query/--strategy/--workers/
-// --processes/--records/--out), one distributed launch path, one merged
-// JSON report schema.
+// The unified figure-bench driver behind `megabench`: one flag surface
+// (--fig/--query/--strategy/--workers/--processes/--records/--out), one
+// distributed launch path, one merged JSON report schema.
 //
 // Every figure of the paper's evaluation runs through here. With
 // --processes=P the driver forks a fresh P-process group per variant run
@@ -182,11 +181,9 @@ inline void Ccdf_(JsonWriter& j, const Histogram& h) {
 
 /// Migration windows plus the headline number: the maximum latency
 /// observed (across every process) during any migration window.
-inline void Migrations(JsonWriter& j,
-                       const std::vector<MigrationStats>& migs) {
-  double overall = 0;
+inline void Migrations(JsonWriter& j, const OpenLoopResult& r) {
   j.Key("migrations").BeginArray();
-  for (const auto& m : migs) {
+  for (const auto& m : r.migrations) {
     j.BeginObject();
     j.Key("start_sec").Value(m.start_sec);
     j.Key("end_sec").Value(m.end_sec);
@@ -196,27 +193,54 @@ inline void Migrations(JsonWriter& j,
     j.Key("chunk_frames").Value(m.chunk_frames);
     j.Key("chunk_bytes").Value(m.chunk_bytes);
     j.EndObject();
-    overall = std::max(overall, m.max_ms);
   }
   j.EndArray();
-  j.Key("max_latency_during_migration_ms").Value(overall);
+  j.Key("max_latency_during_migration_ms").Value(r.MaxMigrationMs());
 }
 
 /// Per-process RSS samples pooled on one time axis, plus the peak. Every
 /// figure report carries memory now, not just the paper's Fig. 20 — the
 /// spill backend's RSS-bound gate reads `peak_rss_bytes`.
-inline void Rss_(JsonWriter& j, const std::vector<RssSample>& rss) {
-  uint64_t peak = 0;
+inline void Rss_(JsonWriter& j, const OpenLoopResult& r) {
   j.Key("rss").BeginArray();
-  for (const auto& [t, bytes] : rss) {
+  for (const auto& [t, bytes] : r.rss_samples) {
     j.BeginArray();
     j.Value(t);
     j.Value(bytes);
     j.EndArray();
-    peak = std::max(peak, bytes);
   }
   j.EndArray();
-  j.Key("peak_rss_bytes").Value(peak);
+  j.Key("peak_rss_bytes").Value(r.PeakRssBytes());
+}
+
+/// How many processes' shards the merged result pooled.
+inline void Processes(JsonWriter& j, const OpenLoopResult& r) {
+  j.Key("processes_reporting").Value(static_cast<uint64_t>(r.shards.size()));
+}
+
+/// The block every open-loop variant reports: reporting processes,
+/// volume, steady percentiles, migration windows, timeline and RSS. Count
+/// variants report `records_sent` and the achieved rate; NEXMark variants
+/// report `events_sent` and the query's `outputs`. The native panel,
+/// which cannot migrate, omits the windows.
+enum class Sent { kRecords, kEvents };
+inline void OpenLoop(JsonWriter& j, const OpenLoopResult& r, Sent sent,
+                     bool with_migrations = true) {
+  Processes(j, r);
+  if (sent == Sent::kRecords) {
+    j.Key("records_sent").Value(r.records_sent);
+    j.Key("achieved_rate_per_s")
+        .Value(r.duration_sec > 0
+                   ? static_cast<double>(r.records_sent) / r.duration_sec
+                   : 0.0);
+  } else {
+    j.Key("events_sent").Value(r.records_sent);
+    j.Key("outputs").Value(r.outputs);
+  }
+  HistSummary(j, "steady", r.steady);
+  if (with_migrations) Migrations(j, r);
+  Timeline_(j, r.timeline);
+  Rss_(j, r);
 }
 
 }  // namespace benchjson
@@ -309,24 +333,12 @@ inline void RunFig01(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
     PrintMigrationSummary(v.label, cfg.num_bins, "bins", r.migrations);
     std::printf("# %s: steady p99 = %.3f ms\n\n", v.label,
                 static_cast<double>(r.steady.Quantile(0.99)) * 1e-6);
-    double m = 0;
-    for (const auto& ms : r.migrations) m = std::max(m, ms.max_ms);
-    max_ms.emplace_back(v.label, m);
+    max_ms.emplace_back(v.label, r.MaxMigrationMs());
 
     j.BeginObject();
     j.Key("label").Value(v.label);
     j.Key("strategy").Value(StrategyName(v.strategy));
-    j.Key("processes_reporting").Value(
-        static_cast<uint64_t>(r.shards.size()));
-    j.Key("records_sent").Value(r.records_sent);
-    j.Key("achieved_rate_per_s")
-        .Value(r.duration_sec > 0
-                   ? static_cast<double>(r.records_sent) / r.duration_sec
-                   : 0.0);
-    benchjson::HistSummary(j, "steady", r.steady);
-    benchjson::Migrations(j, r.migrations);
-    benchjson::Timeline_(j, r.timeline);
-    benchjson::Rss_(j, r.rss_samples);
+    benchjson::OpenLoop(j, r, benchjson::Sent::kRecords);
     j.EndObject();
   }
   j.EndArray();
@@ -408,21 +420,12 @@ inline void RunNexmarkFig(BenchProcs& procs, const Flags& flags, int q,
     std::printf("# %s: outputs=%llu steady p99=%.3f ms\n\n", v.label,
                 static_cast<unsigned long long>(r.outputs),
                 static_cast<double>(r.steady.Quantile(0.99)) * 1e-6);
-    double m = 0;
-    for (const auto& ms : r.migrations) m = std::max(m, ms.max_ms);
-    max_ms.emplace_back(v.label, m);
+    max_ms.emplace_back(v.label, r.MaxMigrationMs());
 
     j.BeginObject();
     j.Key("label").Value(v.label);
     j.Key("strategy").Value(StrategyName(v.strategy));
-    j.Key("processes_reporting").Value(
-        static_cast<uint64_t>(r.shards.size()));
-    j.Key("events_sent").Value(r.events_sent);
-    j.Key("outputs").Value(r.outputs);
-    benchjson::HistSummary(j, "steady", r.steady);
-    benchjson::Migrations(j, r.migrations);
-    benchjson::Timeline_(j, r.timeline);
-    benchjson::Rss_(j, r.rss_samples);
+    benchjson::OpenLoop(j, r, benchjson::Sent::kEvents);
     j.EndObject();
   }
   if (with_native && NativeEnabled(flags)) {
@@ -437,13 +440,8 @@ inline void RunNexmarkFig(BenchProcs& procs, const Flags& flags, int q,
       j.BeginObject();
       j.Key("label").Value("native");
       j.Key("strategy").Value("none");
-      j.Key("processes_reporting").Value(
-          static_cast<uint64_t>(r.shards.size()));
-      j.Key("events_sent").Value(r.events_sent);
-      j.Key("outputs").Value(r.outputs);
-      benchjson::HistSummary(j, "steady", r.steady);
-      benchjson::Timeline_(j, r.timeline);
-      benchjson::Rss_(j, r.rss_samples);
+      benchjson::OpenLoop(j, r, benchjson::Sent::kEvents,
+                          /*with_migrations=*/false);
       j.EndObject();
     }
   }
@@ -502,11 +500,10 @@ inline void RunOverheadFig(BenchProcs& procs, const Flags& flags, int fig,
     j.BeginObject();
     j.Key("label").Value(name);
     if (bins > 0) j.Key("bins").Value(bins);
-    j.Key("processes_reporting").Value(
-        static_cast<uint64_t>(r.shards.size()));
+    benchjson::Processes(j, r);
     benchjson::HistSummary(j, "per_record", r.per_record);
     benchjson::Ccdf_(j, r.per_record);
-    benchjson::Rss_(j, r.rss_samples);
+    benchjson::Rss_(j, r);
     j.EndObject();
     rows.push_back(Row{name, r.per_record});
   };
@@ -611,10 +608,9 @@ inline void RunSweepFig(BenchProcs& procs, const Flags& flags, int fig,
       j.Key("label").Value(StrategyName(strat));
       j.Key("strategy").Value(StrategyName(strat));
       j.Key(fig == 17 ? "domain" : "bins").Value(p);
-      j.Key("processes_reporting").Value(
-          static_cast<uint64_t>(r.shards.size()));
-      benchjson::Migrations(j, r.migrations);
-      benchjson::Rss_(j, r.rss_samples);
+      benchjson::Processes(j, r);
+      benchjson::Migrations(j, r);
+      benchjson::Rss_(j, r);
       j.EndObject();
     }
   }
@@ -687,9 +683,8 @@ inline void RunFig19(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
       j.Key("label").Value(v.label);
       j.Key("rate").Value(rate);
       j.Key("max_latency_s").Value(max_s);
-      j.Key("processes_reporting").Value(
-          static_cast<uint64_t>(r.shards.size()));
-      benchjson::Rss_(j, r.rss_samples);
+      benchjson::Processes(j, r);
+      benchjson::Rss_(j, r);
       j.EndObject();
     }
   }
@@ -760,7 +755,7 @@ inline void RunFig20(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
     j.Key("baseline_mb").Value(baseline / 1048576.0);
     j.Key("peak_mb").Value(peak / 1048576.0);
     j.Key("spike_mb").Value((peak - baseline) / 1048576.0);
-    benchjson::Migrations(j, r.migrations);
+    benchjson::Migrations(j, r);
     j.EndObject();
     std::printf("# %s: baseline=%.1f MB peak=%.1f MB spike=%.1f MB\n\n",
                 StrategyName(strat), baseline / 1048576.0, peak / 1048576.0,
@@ -832,29 +827,18 @@ inline void RunFig22(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
     if (!r.root) continue;
     PrintTimeline(v.label, r.timeline);
     PrintMigrationSummary(v.label, cfg.num_bins, "bins", r.migrations);
-    double m = 0;
-    for (const auto& ms : r.migrations) m = std::max(m, ms.max_ms);
-    max_ms.emplace_back(v.label, m);
+    max_ms.emplace_back(v.label, r.MaxMigrationMs());
     std::printf("# %s: steady p99 = %.3f ms, max during migration = "
                 "%.3f ms\n\n",
                 v.label,
-                static_cast<double>(r.steady.Quantile(0.99)) * 1e-6, m);
+                static_cast<double>(r.steady.Quantile(0.99)) * 1e-6,
+                r.MaxMigrationMs());
 
     j.BeginObject();
     j.Key("label").Value(v.label);
     j.Key("strategy").Value(StrategyName(cfg.strategy));
     j.Key("chunk_bytes").Value(v.chunk_bytes);
-    j.Key("processes_reporting").Value(
-        static_cast<uint64_t>(r.shards.size()));
-    j.Key("records_sent").Value(r.records_sent);
-    j.Key("achieved_rate_per_s")
-        .Value(r.duration_sec > 0
-                   ? static_cast<double>(r.records_sent) / r.duration_sec
-                   : 0.0);
-    benchjson::HistSummary(j, "steady", r.steady);
-    benchjson::Migrations(j, r.migrations);
-    benchjson::Timeline_(j, r.timeline);
-    benchjson::Rss_(j, r.rss_samples);
+    benchjson::OpenLoop(j, r, benchjson::Sent::kRecords);
     j.EndObject();
   }
   j.EndArray();
@@ -972,23 +956,13 @@ inline void RunFig24(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
     j.BeginObject();
     j.Key("label").Value(v.label);
     j.Key("strategy").Value(StrategyName(cfg.strategy));
-    j.Key("processes_reporting").Value(
-        static_cast<uint64_t>(r.shards.size()));
-    j.Key("records_sent").Value(r.records_sent);
-    j.Key("achieved_rate_per_s")
-        .Value(r.duration_sec > 0
-                   ? static_cast<double>(r.records_sent) / r.duration_sec
-                   : 0.0);
     j.Key("plans_issued").Value(static_cast<uint64_t>(r.plans_issued));
     j.Key("reaction_ms").Value(r.reaction_ms);
     j.Key("flip_sec").Value(r.flip_sec);
     j.Key("rebalanced_sec").Value(r.rebalanced_sec);
     benchjson::HistSummary(j, "pre_flip", pre);
     benchjson::HistSummary(j, "post_rebalance", post);
-    benchjson::HistSummary(j, "steady", r.steady);
-    benchjson::Migrations(j, r.migrations);
-    benchjson::Timeline_(j, r.timeline);
-    benchjson::Rss_(j, r.rss_samples);
+    benchjson::OpenLoop(j, r, benchjson::Sent::kRecords);
     j.EndObject();
   }
   j.EndArray();
@@ -1079,12 +1053,7 @@ inline void RunFig25(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
         {migrate_at, MakeImbalancedAssignment(cfg.num_bins, cfg.workers)});
     auto r = procs.RunCount(cfg);
     if (!r.root) continue;
-    uint64_t peak = 0;
-    for (const auto& [t, bytes] : r.rss_samples) {
-      peak = std::max(peak, bytes);
-    }
-    double m = 0;
-    for (const auto& ms : r.migrations) m = std::max(m, ms.max_ms);
+    const uint64_t peak = r.PeakRssBytes();
     PrintTimeline(v.label, r.timeline);
     PrintMigrationSummary(v.label, cfg.num_bins, "bins", r.migrations);
     std::printf("# %s: peak rss = %llu MB (cap %llu MB%s), max during "
@@ -1094,23 +1063,13 @@ inline void RunFig25(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
                 v.mode == CountMode::kSpillCount
                     ? (peak <= rss_cap ? ", UNDER" : ", OVER")
                     : "",
-                m);
+                r.MaxMigrationMs());
 
     j.BeginObject();
     j.Key("label").Value(v.label);
     j.Key("strategy").Value(StrategyName(cfg.strategy));
-    j.Key("processes_reporting").Value(
-        static_cast<uint64_t>(r.shards.size()));
-    j.Key("records_sent").Value(r.records_sent);
-    j.Key("achieved_rate_per_s")
-        .Value(r.duration_sec > 0
-                   ? static_cast<double>(r.records_sent) / r.duration_sec
-                   : 0.0);
     j.Key("under_rss_cap").Value(peak <= rss_cap);
-    benchjson::HistSummary(j, "steady", r.steady);
-    benchjson::Migrations(j, r.migrations);
-    benchjson::Timeline_(j, r.timeline);
-    benchjson::Rss_(j, r.rss_samples);
+    benchjson::OpenLoop(j, r, benchjson::Sent::kRecords);
     j.EndObject();
   }
   j.EndArray();

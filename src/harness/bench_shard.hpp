@@ -11,7 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/serde.hpp"
@@ -53,10 +53,10 @@ struct MigrationStats {
   }
 };
 
-/// One process's share of a bench run's measurements.
 /// One (elapsed seconds, resident-set bytes) sample of a process's RSS.
 using RssSample = std::pair<double, uint64_t>;
 
+/// One process's share of a bench run's measurements.
 struct BenchShard {
   uint32_t process_index = 0;
   Timeline timeline{250'000'000};
@@ -96,78 +96,102 @@ struct BenchShard {
   }
 };
 
+/// The merged measurements of one open-loop bench run, whatever the
+/// workload: the result every runner returns (count adds its adaptive
+/// outcome on top).
+struct OpenLoopResult {
+  Timeline timeline{250'000'000};
+  Histogram per_record;  // every acked epoch, steady state and migration
+  Histogram steady;      // epochs acked outside migration windows
+  std::vector<MigrationStats> migrations;
+  /// (t_sec, bytes) RSS samples pooled over every process's shard.
+  std::vector<RssSample> rss_samples;
+  uint64_t records_sent = 0;
+  uint64_t outputs = 0;
+  double duration_sec = 0;
+  /// True iff this process hosts global worker 0; only then are the
+  /// merged metrics above populated.
+  bool root = true;
+  /// Per-process shards the merged metrics were pooled from (root only).
+  std::vector<BenchShard> shards;
+
+  /// The maximum latency observed, by any process, in any migration
+  /// window.
+  double MaxMigrationMs() const {
+    double m = 0;
+    for (const auto& ms : migrations) m = std::max(m, ms.max_ms);
+    return m;
+  }
+  /// The highest RSS any process sampled.
+  uint64_t PeakRssBytes() const {
+    uint64_t peak = 0;
+    for (const auto& [t, bytes] : rss_samples) peak = std::max(peak, bytes);
+    return peak;
+  }
+};
+
 namespace detail {
 
-/// Pools per-process shards into one merged report. Timelines and
-/// histograms merge sample-by-sample; `records`/`outputs` sum and
-/// `duration` takes the max across processes (null pointers skip a
-/// field). Migration windows come from process 0 (all processes observe
-/// the same controller schedule) with each window's max latency
-/// recomputed over the *merged* timeline, so a spike seen only by a
-/// remote process still registers, and each window's chunk traffic summed
-/// over every process's shard. Shards are sorted by process index.
-inline void MergeShardsInto(std::vector<BenchShard>& shards,
-                            Timeline* timeline, Histogram* per_record,
-                            Histogram* steady,
-                            std::vector<MigrationStats>* migrations,
-                            uint64_t* records, uint64_t* outputs,
-                            double* duration,
-                            std::vector<RssSample>* rss = nullptr) {
+/// Pools per-process shards into one merged result. Timelines and
+/// histograms merge sample-by-sample, RSS samples pool onto one time
+/// axis, `records_sent`/`outputs` sum and `duration_sec` takes the max
+/// across processes. Migration windows come from process 0 (all processes
+/// observe the same controller schedule) with each window's chunk traffic
+/// summed over every process's shard and its max latency computed over
+/// the *merged* timeline, so a spike seen only by a remote process still
+/// registers. The shards are kept, sorted by process index. No shards —
+/// every process but the one hosting global worker 0 — means no report:
+/// `root` is false.
+inline OpenLoopResult MergeShards(std::vector<BenchShard> shards) {
   std::sort(shards.begin(), shards.end(),
             [](const BenchShard& a, const BenchShard& b) {
               return a.process_index < b.process_index;
             });
-  for (auto& s : shards) {
-    if (timeline) timeline->Merge(s.timeline);
-    if (per_record) per_record->Merge(s.per_record);
-    if (steady) steady->Merge(s.steady);
-    if (records) *records += s.records_sent;
-    if (outputs) *outputs += s.outputs;
-    if (duration) *duration = std::max(*duration, s.duration_sec);
-    if (migrations && s.process_index == 0) *migrations = s.migrations;
-    if (rss) rss->insert(rss->end(), s.rss.begin(), s.rss.end());
-  }
-  if (rss) {
-    // All processes' samples pooled on one time axis (per-process RSS,
-    // interleaved). Stable so equal timestamps keep process order.
-    std::stable_sort(rss->begin(), rss->end(),
-                     [](const RssSample& a, const RssSample& b) {
-                       return a.first < b.first;
-                     });
-  }
-  if (migrations) {
-    // Chunk traffic is observed per process; windows line up across
-    // shards because every process runs the same controller schedule.
-    for (auto& s : shards) {
-      if (s.process_index == 0) continue;
-      for (size_t i = 0;
-           i < migrations->size() && i < s.migrations.size(); ++i) {
-        (*migrations)[i].chunk_frames += s.migrations[i].chunk_frames;
-        (*migrations)[i].chunk_bytes += s.migrations[i].chunk_bytes;
-      }
+  OpenLoopResult r;
+  r.root = !shards.empty();
+  for (const auto& s : shards) {
+    r.timeline.Merge(s.timeline);
+    r.per_record.Merge(s.per_record);
+    r.steady.Merge(s.steady);
+    r.records_sent += s.records_sent;
+    r.outputs += s.outputs;
+    r.duration_sec = std::max(r.duration_sec, s.duration_sec);
+    r.rss_samples.insert(r.rss_samples.end(), s.rss.begin(), s.rss.end());
+    if (s.process_index == 0) {
+      r.migrations = s.migrations;  // sorted first
+      continue;
+    }
+    // Windows line up across shards because every process runs the same
+    // controller schedule.
+    for (size_t i = 0; i < r.migrations.size() && i < s.migrations.size();
+         ++i) {
+      r.migrations[i].chunk_frames += s.migrations[i].chunk_frames;
+      r.migrations[i].chunk_bytes += s.migrations[i].chunk_bytes;
     }
   }
-  if (migrations && timeline) {
-    for (auto& ms : *migrations) {
-      ms.max_ms = static_cast<double>(timeline->MaxIn(
-                      static_cast<uint64_t>(ms.start_sec * 1e9),
-                      static_cast<uint64_t>(ms.end_sec * 1e9) +
-                          500'000'000)) *
-                  1e-6;
-    }
+  // Stable so equal timestamps keep process order.
+  std::stable_sort(r.rss_samples.begin(), r.rss_samples.end(),
+                   [](const RssSample& a, const RssSample& b) {
+                     return a.first < b.first;
+                   });
+  for (auto& ms : r.migrations) {
+    ms.max_ms = static_cast<double>(r.timeline.MaxIn(
+                    static_cast<uint64_t>(ms.start_sec * 1e9),
+                    static_cast<uint64_t>(ms.end_sec * 1e9) + 500'000'000)) *
+                1e-6;
   }
+  r.shards = std::move(shards);
+  return r;
 }
 
 }  // namespace detail
 
 /// A side channel in the bench dataflow that carries encoded BenchShards
 /// to global worker 0. Every worker holds the input handle (and must
-/// close it); only each process's local root sends. The collected shards
-/// are complete once the dataflow drains (Execute returns).
+/// close it); only each process's local root sends.
 template <typename T>
 struct ShardChannel {
   timely::Input<std::vector<uint8_t>, T> in;
-  std::shared_ptr<std::vector<BenchShard>> shards;  // filled on worker 0
 
   /// Sends this process's shard and closes the channel.
   void Finish(const BenchShard& shard) {
@@ -177,24 +201,26 @@ struct ShardChannel {
 };
 
 /// Adds the shard side channel to a bench dataflow under construction.
-/// The collector runs on global worker 0; shards from every process land
-/// in `shards` in arrival order.
+/// The collector runs on global worker 0 and appends every process's
+/// shard to `*sink` in arrival order, so `*sink` is complete once the
+/// dataflow drains (Execute returns) and stays empty in every other
+/// process.
 template <typename T>
-ShardChannel<T> AddShardChannel(timely::Scope<T>& s) {
+ShardChannel<T> AddShardChannel(timely::Scope<T>& s,
+                                std::vector<BenchShard>* sink) {
   auto [in, stream] = timely::NewInput<std::vector<uint8_t>>(s);
-  auto shards = std::make_shared<std::vector<BenchShard>>();
   timely::OperatorBuilder<T> b(s, "BenchShards");
   auto* cin = b.AddInput(
       stream, timely::Pact<std::vector<uint8_t>>::Exchange(
                   [](const std::vector<uint8_t>&) { return uint64_t{0}; }));
-  b.Build([cin, shards](timely::OpCtx<T>&) {
+  b.Build([cin, sink](timely::OpCtx<T>&) {
     cin->ForEach([&](const T&, std::vector<std::vector<uint8_t>>& recs) {
       for (auto& bytes : recs) {
-        shards->push_back(DecodeFromBytes<BenchShard>(bytes));
+        sink->push_back(DecodeFromBytes<BenchShard>(bytes));
       }
     });
   });
-  return ShardChannel<T>{std::move(in), std::move(shards)};
+  return ShardChannel<T>{std::move(in)};
 }
 
 }  // namespace megaphone

@@ -34,8 +34,7 @@
 #include "common/rate_limiter.hpp"
 #include "common/time_util.hpp"
 #include "harness/bench_shard.hpp"
-#include "harness/histogram.hpp"
-#include "harness/rss.hpp"
+#include "harness/open_loop.hpp"
 #include "megaphone/megaphone.hpp"
 #include "state/checkpoint.hpp"
 #include "timely/timely.hpp"
@@ -82,7 +81,6 @@ struct CountBenchConfig {
   double rate = 500'000;      // records/second, all workers combined
   uint64_t duration_ms = 3000;
   CountMode mode = CountMode::kKeyCount;
-  bool preload = true;  // touch every key before measuring
   uint64_t state_bytes_per_sec = 0;
   /// State-chunk frame bound and per-step flow-control budget
   /// (megaphone::Config::chunk_bytes / chunk_bytes_per_step; 0 =
@@ -100,7 +98,6 @@ struct CountBenchConfig {
   uint64_t gap_ms = 0;
 
   uint64_t seed = 1;
-  uint64_t epoch_ns = 1'000'000;  // 1 ms epochs
 
   /// Byte payload each key's value carries (kPadCount / kSpillCount).
   uint64_t value_pad_bytes = 0;
@@ -124,21 +121,9 @@ struct CountBenchConfig {
   uint32_t flip_prob_pct = 90;
 };
 
-struct CountBenchResult {
-  Timeline timeline{250'000'000};
-  Histogram per_record;  // per-record latency, steady state and migration
-  Histogram steady;      // samples outside migration windows
-  std::vector<MigrationStats> migrations;
-  /// (t_sec, bytes) RSS samples pooled over every process's shard.
-  std::vector<RssSample> rss_samples;
-  uint64_t records_sent = 0;
-  double duration_sec = 0;
-  /// True iff this process hosts global worker 0; only then are the
-  /// merged metrics above populated.
-  bool root = true;
-  /// Per-process shards the merged metrics were pooled from (root only).
-  std::vector<BenchShard> shards;
-
+/// The merged open-loop measurements; `per_record` and `steady` are
+/// weighted by records, so their totals approximate `records_sent`.
+struct CountBenchResult : OpenLoopResult {
   /// Adaptive-controller outcome (root only; -1 = not observed). The
   /// reaction time runs from the hot-key flip to the first autonomously
   /// scheduled plan; `rebalanced_sec` marks when the last migration the
@@ -221,14 +206,14 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
   using timely::Scope;
   using timely::Worker;
   using T = uint64_t;
+  using Meter = detail::OpenLoopMeter<T>;
 
   MEGA_CHECK((cfg.domain & (cfg.domain - 1)) == 0) << "domain: power of two";
   MEGA_CHECK_GE(cfg.domain, cfg.num_bins);
   MEGA_CHECK_EQ(tcfg.workers * std::max(1u, tcfg.processes), cfg.workers);
 
-  CountBenchResult result;
-  std::mutex result_mu;
-  std::shared_ptr<std::vector<BenchShard>> root_shards;
+  CountBenchResult result;        // adaptive outcome set by worker 0
+  std::vector<BenchShard> shards;  // collected on global worker 0
   std::atomic<uint64_t> t0{0};  // measurement origin (set after preload)
   std::atomic<uint64_t> total_sent{0};
 
@@ -254,7 +239,7 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
     auto handles = w.Dataflow<T>([&](Scope<T>& s) -> Handles {
       auto [ctrl_in, ctrl_stream] = timely::NewInput<ControlInst>(s);
       auto [data_in, data_stream] = timely::NewInput<uint64_t>(s);
-      ShardChannel<T> rep = AddShardChannel(s);
+      ShardChannel<T> rep = AddShardChannel(s, &shards);
       StatsChannel<T> stats;
       if (cfg.adaptive && !is_native) stats = AddStatsChannel(s);
       std::function<void(BinStats&)> take_stats;
@@ -369,23 +354,21 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
     typename MigrationController<T>::Options mopts;
     mopts.strategy = cfg.strategy;
     mopts.batch_size = cfg.batch_size;
-    mopts.gap = cfg.gap_ms;  // epochs are 1 ms by default
+    mopts.gap = cfg.gap_ms;  // epochs are 1 ms
     MigrationController<T> controller(ctrl_in, probe, w.index(), mopts);
 
     // ---- Preload: touch every key once at epoch 0, then wait. ----------
-    if (cfg.preload) {
-      std::vector<uint64_t> batch;
-      for (uint64_t k = w.index(); k < cfg.domain; k += cfg.workers) {
-        batch.push_back(k);
-        if (batch.size() == 4096) {
-          data_in->SendBatch(std::move(batch));
-          batch.clear();
-          w.Step();
-          std::this_thread::yield();
-        }
+    std::vector<uint64_t> batch;
+    for (uint64_t k = w.index(); k < cfg.domain; k += cfg.workers) {
+      batch.push_back(k);
+      if (batch.size() == 4096) {
+        data_in->SendBatch(std::move(batch));
+        batch.clear();
+        w.Step();
+        std::this_thread::yield();
       }
-      data_in->SendBatch(std::move(batch));
     }
+    data_in->SendBatch(std::move(batch));
     if (!is_native) controller.Advance(0, 1);
     data_in->AdvanceTo(1);
     w.StepUntil([&] { return !probe.LessThan(1); });
@@ -415,29 +398,25 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
                            cfg.mode == CountMode::kPadCount ||
                            cfg.mode == CountMode::kSpillCount;
     double reaction_ms = -1;
-    double rebalanced_sec = -1;
 
-    // Per-process measurement state, owned by the local root worker.
-    Timeline timeline(250'000'000);
-    Histogram per_record, steady;
-    std::vector<MigrationStats> mig_stats;
-    std::vector<std::pair<double, uint64_t>> rss;
-    bool was_migrating = false;
-    size_t batches_before = 0;
-    uint64_t chunk_frames_before = 0;  // chunk_counters() at window start
-    uint64_t chunk_bytes_before = 0;
-    uint64_t next_ack = 1;       // next epoch awaiting completion
-    uint64_t next_tick = 0;      // next 250 ms observation boundary
-    const uint64_t weight =
-        std::max<uint64_t>(1, static_cast<uint64_t>(cfg.rate * 1e-9 *
-                                                    cfg.epoch_ns));
+    // Per-process measurement, owned by the local root worker. Every
+    // process acks every epoch but injects only its workers' share of the
+    // epoch's records, so its samples weigh that share.
+    const uint32_t processes = cfg.workers / tcfg.workers;
+    std::optional<Meter> meter;
+    if (w.IsLocalRoot()) {
+      meter.emplace(start, probe, controller,
+                    std::max<uint64_t>(1, static_cast<uint64_t>(
+                                              cfg.rate * 1e-9 *
+                                              Meter::kEpochNs / processes)));
+    }
 
     uint64_t cur_epoch = 1;
     uint64_t sent = w.index();  // global record index, strided by worker
     while (true) {
       uint64_t now = NowNanos();
       if (now >= end) break;
-      uint64_t e = 1 + (now - start) / cfg.epoch_ns;
+      uint64_t e = Meter::EpochAt(now - start);
       if (e > cur_epoch) {
         while (next_mig < cfg.migrations.size() &&
                cfg.migrations[next_mig].at_ms * 1'000'000 + start <= now) {
@@ -493,52 +472,7 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
       // granularity rather than scheduler quanta (which would otherwise
       // put a multi-millisecond floor under every latency).
       std::this_thread::yield();
-
-      if (w.IsLocalRoot()) {
-        // Epoch completions -> latency samples.
-        while (next_ack < cur_epoch && !probe.LessEqual(next_ack)) {
-          uint64_t deadline = start + next_ack * cfg.epoch_ns;
-          uint64_t lat = now > deadline ? now - deadline : 0;
-          timeline.Add(now - start, lat, 1);
-          per_record.Add(lat, weight);
-          if (!controller.Migrating()) steady.Add(lat, weight);
-          next_ack++;
-        }
-        if (now - start >= next_tick) {
-          // Outstanding (not yet completed) work also registers latency,
-          // so stalls are visible while they happen.
-          if (next_ack < cur_epoch) {
-            uint64_t deadline = start + next_ack * cfg.epoch_ns;
-            if (now > deadline) timeline.Add(now - start, now - deadline, 1);
-          }
-          rss.emplace_back(static_cast<double>(now - start) * 1e-9,
-                           CurrentRssBytes());
-          next_tick += 250'000'000;
-        }
-        bool migrating = controller.Migrating();
-        if (migrating && !was_migrating) {
-          MigrationStats ms;
-          ms.start_sec = static_cast<double>(now - start) * 1e-9;
-          ms.batches = controller.completed_batches() - batches_before;
-          mig_stats.push_back(ms);
-          chunk_frames_before = chunk_counters().frames.load();
-          chunk_bytes_before = chunk_counters().bytes.load();
-        }
-        if (!migrating && was_migrating && !mig_stats.empty()) {
-          mig_stats.back().end_sec = static_cast<double>(now - start) * 1e-9;
-          mig_stats.back().batches =
-              controller.completed_batches() - batches_before;
-          batches_before = controller.completed_batches();
-          mig_stats.back().chunk_frames =
-              chunk_counters().frames.load() - chunk_frames_before;
-          mig_stats.back().chunk_bytes =
-              chunk_counters().bytes.load() - chunk_bytes_before;
-          if (actrl && !actrl->plans().empty()) {
-            rebalanced_sec = static_cast<double>(now - start) * 1e-9;
-          }
-        }
-        was_migrating = migrating;
-      }
+      if (meter) meter->Observe(now, cur_epoch);
     }
 
     total_sent += (sent - w.index()) / cfg.workers;
@@ -546,78 +480,30 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
     data_in->Close();
     if (adaptive) stats.in->Close();
 
-    if (w.IsLocalRoot()) {
-      // Drain the backlog, acking the remaining epochs. probe.Done()
-      // requires every process's inputs closed, so by the time it holds
-      // all local workers have added to total_sent.
-      w.StepUntil([&] { return probe.Done(); });
-      uint64_t now = NowNanos();
-      while (next_ack <= cur_epoch) {
-        uint64_t deadline = start + next_ack * cfg.epoch_ns;
-        if (now > deadline) {
-          timeline.Add(now - start, now - deadline, 1);
-          per_record.Add(now - deadline, weight);
-        }
-        next_ack++;
-      }
-      if (was_migrating && !mig_stats.empty() &&
-          mig_stats.back().end_sec == 0) {
-        // The run ended mid-migration; the epilogue drain completed it.
-        mig_stats.back().end_sec = static_cast<double>(now - start) * 1e-9;
-        mig_stats.back().batches =
-            controller.completed_batches() - batches_before;
-        mig_stats.back().chunk_frames =
-            chunk_counters().frames.load() - chunk_frames_before;
-        mig_stats.back().chunk_bytes =
-            chunk_counters().bytes.load() - chunk_bytes_before;
-        if (actrl && !actrl->plans().empty()) {
-          rebalanced_sec = static_cast<double>(now - start) * 1e-9;
-        }
-      }
-      for (auto& ms : mig_stats) {
-        ms.max_ms = static_cast<double>(timeline.MaxIn(
-                        static_cast<uint64_t>(ms.start_sec * 1e9),
-                        static_cast<uint64_t>(ms.end_sec * 1e9) +
-                            500'000'000)) *
-                    1e-6;
-      }
-      BenchShard shard;
-      shard.process_index = tcfg.process_index;
-      shard.timeline = std::move(timeline);
-      shard.per_record = std::move(per_record);
-      shard.steady = std::move(steady);
-      shard.migrations = std::move(mig_stats);
-      shard.records_sent = total_sent.load();
-      shard.duration_sec = static_cast<double>(now - start) * 1e-9;
-      shard.rss = std::move(rss);
-      rep.Finish(shard);
-      if (w.index() == 0) {
-        std::lock_guard<std::mutex> lock(result_mu);
-        root_shards = rep.shards;
-        if (actrl) {
-          result.reaction_ms = reaction_ms;
-          result.flip_sec = flip_ns == UINT64_MAX
-                                ? -1
-                                : static_cast<double>(flip_ns - start) * 1e-9;
-          result.rebalanced_sec = rebalanced_sec;
-          result.plans_issued = actrl->plans().size();
-          result.plans = actrl->plans();
-        }
-      }
-    } else {
+    if (!meter) {
       rep.in->Close();
+      return;
+    }
+    // The drain requires every process's inputs closed, so by the time
+    // Finish returns all local workers have added to total_sent.
+    BenchShard shard = meter->Finish(w, cur_epoch, tcfg.process_index);
+    shard.records_sent = total_sent.load();
+    rep.Finish(shard);
+    if (actrl) {
+      result.reaction_ms = reaction_ms;
+      result.flip_sec = flip_ns == UINT64_MAX
+                            ? -1
+                            : static_cast<double>(flip_ns - start) * 1e-9;
+      // The last window drained the last plan the policy issued.
+      if (!actrl->plans().empty() && !shard.migrations.empty()) {
+        result.rebalanced_sec = shard.migrations.back().end_sec;
+      }
+      result.plans_issued = actrl->plans().size();
+      result.plans = actrl->plans();
     }
   });
 
-  if (root_shards == nullptr) {
-    result.root = false;
-    return result;
-  }
-  result.shards = std::move(*root_shards);
-  detail::MergeShardsInto(result.shards, &result.timeline,
-                          &result.per_record, &result.steady,
-                          &result.migrations, &result.records_sent, nullptr,
-                          &result.duration_sec, &result.rss_samples);
+  static_cast<OpenLoopResult&>(result) = detail::MergeShards(std::move(shards));
   return result;
 }
 

@@ -17,14 +17,13 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/rate_limiter.hpp"
 #include "common/time_util.hpp"
-#include "harness/bench_shard.hpp"
-#include "harness/histogram.hpp"
+#include "harness/open_loop.hpp"
 #include "harness/report.hpp"
-#include "harness/rss.hpp"
 #include "megaphone/megaphone.hpp"
 #include "nexmark/nexmark.hpp"
 #include "timely/timely.hpp"
@@ -50,20 +49,9 @@ struct NexmarkBenchConfig {
   size_t batch_size = 64;
 };
 
-struct NexmarkBenchResult {
-  Timeline timeline{250'000'000};
-  Histogram steady;
-  std::vector<MigrationStats> migrations;
-  /// (t_sec, bytes) RSS samples pooled over every process's shard.
-  std::vector<RssSample> rss_samples;
-  uint64_t outputs = 0;
-  uint64_t events_sent = 0;
-  /// True iff this process hosts global worker 0 (merged metrics live
-  /// here).
-  bool root = true;
-  /// Per-process shards the merged metrics were pooled from (root only).
-  std::vector<BenchShard> shards;
-};
+/// NEXMark reports the shared open-loop measurements as they are; its
+/// histograms count epochs (one sample per acked epoch), not events.
+using NexmarkBenchResult = OpenLoopResult;
 
 namespace detail {
 
@@ -131,11 +119,10 @@ timely::ProbeHandle<T> BuildNexmarkQuery(
 inline NexmarkBenchResult RunNexmarkBench(NexmarkBenchConfig cfg,
                                           const timely::Config& tcfg) {
   using T = uint64_t;
+  using Meter = detail::OpenLoopMeter<T>;
   MEGA_CHECK_EQ(tcfg.workers * std::max(1u, tcfg.processes), cfg.workers);
 
-  NexmarkBenchResult result;
-  std::mutex result_mu;
-  std::shared_ptr<std::vector<BenchShard>> root_shards;
+  std::vector<BenchShard> shards;  // collected on global worker 0
   std::atomic<uint64_t> outputs{0};
   std::atomic<uint64_t> total_sent{0};
   std::atomic<uint64_t> t0{0};
@@ -159,7 +146,7 @@ inline NexmarkBenchResult RunNexmarkBench(NexmarkBenchConfig cfg,
       auto [p_in, p_stream] = timely::NewInput<nexmark::Person>(s);
       auto [a_in, a_stream] = timely::NewInput<nexmark::Auction>(s);
       auto [b_in, b_stream] = timely::NewInput<nexmark::Bid>(s);
-      ShardChannel<T> rep = AddShardChannel(s);
+      ShardChannel<T> rep = AddShardChannel(s, &shards);
       nexmark::NexmarkStreams<T> streams{p_stream, a_stream, b_stream};
       auto probe = detail::BuildNexmarkQuery(
           cfg.query, cfg.use_megaphone, ctrl_stream, streams, cfg.qcfg,
@@ -183,16 +170,9 @@ inline NexmarkBenchResult RunNexmarkBench(NexmarkBenchConfig cfg,
         MakeInitialAssignment(cfg.qcfg.num_bins, cfg.workers);
     size_t next_mig = 0;
 
-    // Per-process measurement state, owned by the local root worker.
-    Timeline timeline(250'000'000);
-    Histogram steady;
-    std::vector<MigrationStats> mig_stats;
-    std::vector<RssSample> rss;
-    bool was_migrating = false;
-    size_t batches_before = 0;
-    uint64_t chunk_frames_before = 0;
-    uint64_t chunk_bytes_before = 0;
-    uint64_t next_ack = 1, next_tick = 0;
+    // Per-process measurement, owned by the local root worker.
+    std::optional<Meter> meter;
+    if (w.IsLocalRoot()) meter.emplace(start, probe, controller, 1);
 
     uint64_t cur_epoch = 0;
     uint64_t idx = w.index();  // event index, strided by global worker
@@ -217,13 +197,12 @@ inline NexmarkBenchResult RunNexmarkBench(NexmarkBenchConfig cfg,
       cur_epoch = e;
     };
     auto epoch_of = [&](uint64_t record_idx) {
-      return (pacer.DeadlineFor(record_idx) - start) / 1'000'000 + 1;
+      return Meter::EpochAt(pacer.DeadlineFor(record_idx) - start);
     };
 
     while (true) {
       uint64_t now = NowNanos();
       if (now >= end) break;
-      uint64_t wall_epoch = 1 + (now - start) / 1'000'000;
       uint64_t due = pacer.RecordsDueBy(now);
       uint64_t injected = 0;
       while (idx < due && injected < 65536) {
@@ -252,49 +231,12 @@ inline NexmarkBenchResult RunNexmarkBench(NexmarkBenchConfig cfg,
         // Idle: let event time follow the wall clock, but never past the
         // next record's epoch (its timestamp must still be current when
         // it is injected).
-        uint64_t adv = std::min(wall_epoch, epoch_of(idx));
+        uint64_t adv = std::min(Meter::EpochAt(now - start), epoch_of(idx));
         if (adv > cur_epoch) advance_all(adv);
       }
       w.Step();
       std::this_thread::yield();
-
-      if (w.IsLocalRoot()) {
-        while (next_ack < cur_epoch && !probe.LessEqual(next_ack)) {
-          uint64_t deadline = start + next_ack * 1'000'000;
-          uint64_t lat = now > deadline ? now - deadline : 0;
-          timeline.Add(now - start, lat, 1);
-          if (!controller.Migrating()) steady.Add(lat);
-          next_ack++;
-        }
-        if (now - start >= next_tick) {
-          if (next_ack < cur_epoch) {
-            uint64_t deadline = start + next_ack * 1'000'000;
-            if (now > deadline) timeline.Add(now - start, now - deadline, 1);
-          }
-          rss.emplace_back(static_cast<double>(now - start) * 1e-9,
-                           CurrentRssBytes());
-          next_tick += 250'000'000;
-        }
-        bool migrating = controller.Migrating();
-        if (migrating && !was_migrating) {
-          MigrationStats ms;
-          ms.start_sec = static_cast<double>(now - start) * 1e-9;
-          mig_stats.push_back(ms);
-          chunk_frames_before = chunk_counters().frames.load();
-          chunk_bytes_before = chunk_counters().bytes.load();
-        }
-        if (!migrating && was_migrating && !mig_stats.empty()) {
-          mig_stats.back().end_sec = static_cast<double>(now - start) * 1e-9;
-          mig_stats.back().batches =
-              controller.completed_batches() - batches_before;
-          batches_before = controller.completed_batches();
-          mig_stats.back().chunk_frames =
-              chunk_counters().frames.load() - chunk_frames_before;
-          mig_stats.back().chunk_bytes =
-              chunk_counters().bytes.load() - chunk_bytes_before;
-        }
-        was_migrating = migrating;
-      }
+      if (meter) meter->Observe(now, cur_epoch);
     }
 
     total_sent += (idx - w.index()) / cfg.workers;
@@ -303,63 +245,19 @@ inline NexmarkBenchResult RunNexmarkBench(NexmarkBenchConfig cfg,
     a_in->Close();
     b_in->Close();
 
-    if (w.IsLocalRoot()) {
-      // probe.Done() requires every process's inputs closed and the query
-      // fully drained through the counting probe, so outputs/total_sent
-      // are final when it holds.
-      w.StepUntil([&] { return probe.Done(); });
-      uint64_t now = NowNanos();
-      while (next_ack <= cur_epoch) {
-        uint64_t deadline = start + next_ack * 1'000'000;
-        if (now > deadline) timeline.Add(now - start, now - deadline, 1);
-        next_ack++;
-      }
-      if (was_migrating && !mig_stats.empty() &&
-          mig_stats.back().end_sec == 0) {
-        mig_stats.back().end_sec = static_cast<double>(now - start) * 1e-9;
-        mig_stats.back().batches =
-            controller.completed_batches() - batches_before;
-        mig_stats.back().chunk_frames =
-            chunk_counters().frames.load() - chunk_frames_before;
-        mig_stats.back().chunk_bytes =
-            chunk_counters().bytes.load() - chunk_bytes_before;
-      }
-      for (auto& ms : mig_stats) {
-        ms.max_ms = static_cast<double>(timeline.MaxIn(
-                        static_cast<uint64_t>(ms.start_sec * 1e9),
-                        static_cast<uint64_t>(ms.end_sec * 1e9) +
-                            500'000'000)) *
-                    1e-6;
-      }
-      BenchShard shard;
-      shard.process_index = tcfg.process_index;
-      shard.timeline = std::move(timeline);
-      shard.steady = std::move(steady);
-      shard.migrations = std::move(mig_stats);
-      shard.outputs = outputs.load();
-      shard.records_sent = total_sent.load();
-      shard.duration_sec = static_cast<double>(now - start) * 1e-9;
-      shard.rss = std::move(rss);
-      rep.Finish(shard);
-      if (w.index() == 0) {
-        std::lock_guard<std::mutex> lock(result_mu);
-        root_shards = rep.shards;
-      }
-    } else {
+    if (!meter) {
       rep.in->Close();
+      return;
     }
+    // The drain requires every process's inputs closed and the query
+    // fully drained through the counting probe, so outputs/total_sent are
+    // final when Finish returns.
+    BenchShard shard = meter->Finish(w, cur_epoch, tcfg.process_index);
+    shard.outputs = outputs.load();
+    shard.records_sent = total_sent.load();
+    rep.Finish(shard);
   });
-
-  if (root_shards == nullptr) {
-    result.root = false;
-    return result;
-  }
-  result.shards = std::move(*root_shards);
-  detail::MergeShardsInto(result.shards, &result.timeline, nullptr,
-                          &result.steady, &result.migrations,
-                          &result.events_sent, &result.outputs, nullptr,
-                          &result.rss_samples);
-  return result;
+  return detail::MergeShards(std::move(shards));
 }
 
 /// Single-process convenience overload: `cfg.workers` worker threads.

@@ -1,7 +1,8 @@
 // Wire serde and merge semantics of the bench report shards: Histogram
 // and Timeline must round-trip exactly (the distributed figure reports
-// are only as good as these), and MergeShardsInto must pool samples and
-// recompute migration maxima over the merged timeline.
+// are only as good as these), and MergeShards must pool samples, sum
+// chunk traffic into process 0's windows, pool RSS samples in time order
+// and recompute migration maxima over the merged timeline.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -89,30 +90,44 @@ TEST(BenchShardMerge, PoolsAcrossProcessesAndRecomputesMigrationMax) {
   p0.timeline.Add(300'000'000, 4'000'000);
   p0.steady.Add(1'000'000, 10);
   p0.records_sent = 100;
+  p0.outputs = 7;
   p0.duration_sec = 1.0;
-  p0.migrations.push_back(MigrationStats{0.25, 0.5, 4.0, 8});
+  p0.migrations.push_back(MigrationStats{0.25, 0.5, 4.0, 8, 3, 300});
+  p0.rss = {{0.0, 10}, {0.5, 30}};
   p1.process_index = 1;
   p1.timeline.Add(300'000'000, 90'000'000);  // the remote spike
   p1.steady.Add(2'000'000, 10);
   p1.records_sent = 100;
+  p1.outputs = 5;
   p1.duration_sec = 1.5;
+  // Process 1's view of the same window: its own chunk traffic.
+  p1.migrations.push_back(MigrationStats{0.26, 0.49, 0.0, 8, 5, 500});
+  p1.rss = {{0.25, 20}, {0.5, 40}};
 
-  std::vector<BenchShard> shards = {p1, p0};  // arrival order scrambled
-  Timeline merged(250'000'000);
-  Histogram steady;
-  std::vector<MigrationStats> migs;
-  uint64_t records = 0;
-  double duration = 0;
-  detail::MergeShardsInto(shards, &merged, nullptr, &steady, &migs,
-                          &records, nullptr, &duration);
+  // Arrival order scrambled.
+  OpenLoopResult r = detail::MergeShards({p1, p0});
 
-  EXPECT_EQ(shards[0].process_index, 0u);  // sorted
-  EXPECT_EQ(steady.total(), 20u);
-  EXPECT_EQ(records, 200u);
-  EXPECT_DOUBLE_EQ(duration, 1.5);
-  ASSERT_EQ(migs.size(), 1u);
+  ASSERT_EQ(r.shards.size(), 2u);
+  EXPECT_EQ(r.shards[0].process_index, 0u);  // sorted
+  EXPECT_EQ(r.steady.total(), 20u);
+  EXPECT_EQ(r.records_sent, 200u);
+  EXPECT_EQ(r.outputs, 12u);
+  EXPECT_DOUBLE_EQ(r.duration_sec, 1.5);
+  ASSERT_EQ(r.migrations.size(), 1u);
+  // Process 0 owns the window bounds and batch count...
+  EXPECT_DOUBLE_EQ(r.migrations[0].start_sec, 0.25);
+  EXPECT_DOUBLE_EQ(r.migrations[0].end_sec, 0.5);
+  EXPECT_EQ(r.migrations[0].batches, 8u);
+  // ...while chunk traffic sums over every process's shard.
+  EXPECT_EQ(r.migrations[0].chunk_frames, 8u);
+  EXPECT_EQ(r.migrations[0].chunk_bytes, 800u);
   // The window max must reflect the merged timeline, not just process 0.
-  EXPECT_DOUBLE_EQ(migs[0].max_ms, 90.0);
+  EXPECT_DOUBLE_EQ(r.migrations[0].max_ms, 90.0);
+  // RSS samples from both shards pool onto one time axis; equal
+  // timestamps keep process order.
+  const std::vector<RssSample> rss = {{0.0, 10}, {0.25, 20}, {0.5, 30},
+                                      {0.5, 40}};
+  EXPECT_EQ(r.rss_samples, rss);
 }
 
 }  // namespace

@@ -203,7 +203,7 @@ TEST(NexmarkBench, SmokeRunWithMigration) {
   cfg.migrations.push_back(
       {300, MakeImbalancedAssignment(cfg.qcfg.num_bins, cfg.workers)});
   auto result = RunNexmarkBench(cfg);
-  EXPECT_GT(result.events_sent, 0u);
+  EXPECT_GT(result.records_sent, 0u);
   EXPECT_GT(result.outputs, 0u);
   ASSERT_EQ(result.migrations.size(), 1u);
   EXPECT_GT(result.migrations[0].end_sec, result.migrations[0].start_sec);

@@ -139,6 +139,12 @@ TEST(MultiProcess, CountBenchMergesShardsFromBothProcesses) {
   EXPECT_EQ(merged_samples, shard_samples);
   ASSERT_FALSE(r.migrations.empty()) << "migration never observed";
   EXPECT_GT(r.migrations[0].batches, 0u);
+  // Each process weighs its per-epoch samples by the records its own
+  // workers inject, so the merged per-record histogram counts records
+  // once, not once per process.
+  const double recs = static_cast<double>(r.records_sent);
+  EXPECT_GE(static_cast<double>(r.per_record.total()), 0.75 * recs);
+  EXPECT_LE(static_cast<double>(r.per_record.total()), 1.25 * recs);
 }
 
 // Without any migration the distributed exchange path alone must already
