@@ -3,9 +3,19 @@
 // Megaphone deliberately leaves *when* to migrate to an external
 // controller (paper §4.4 — DS2, Dhalion, or Chi could supply the stream).
 // This controller implements the paper's evaluation protocol: it issues a
-// strategy's batches one at a time, awaiting completion of each batch
-// (the S output frontier passing the batch's timestamp) before issuing the
-// next, optionally inserting a drain gap between batches (§4.4).
+// strategy's batches in order, and a batch is complete once the S output
+// frontier passes its timestamp.
+//
+// Migrations are prepared one batch ahead (paper §1: "prepared ahead of
+// time to avoid runtime coordination"). With no drain gap, batch k+1 is
+// issued at the first epoch after batch k's, as soon as batch k-1 has
+// completed, so at most two batches are outstanding. This is safe without
+// any coordination in F/S: F starts the migrations at `t` only once the S
+// output frontier reaches `t`, and holds its capability at `t` until the
+// last chunk at `t` has left, so batch k+1's extraction cannot begin
+// before batch k is installed. A nonzero gap (§4.4) asks for an idle
+// stretch after each batch instead: the controller then awaits each
+// batch's completion and drains `gap` epochs before issuing the next.
 //
 // Every worker owns one controller instance and calls Advance() once per
 // driver round; this keeps the control input's frontier ahead of the data
@@ -68,20 +78,21 @@ class MigrationController {
     MEGA_CHECK_LT(now, next);
     control_->AdvanceTo(std::max(control_->epoch(), now));
 
-    // Completion check for the in-flight batch: the S output frontier has
-    // passed its timestamp.
-    if (in_flight_ && !probe_.LessEqual(*in_flight_)) {
-      in_flight_.reset();
+    // Retire completed batches, oldest first: the S output frontier has
+    // passed their timestamps.
+    while (!in_flight_.empty() && !probe_.LessEqual(in_flight_.front())) {
+      in_flight_.pop_front();
       not_before_ = SaturatingAdd(now, options_.gap);
       completed_batches_++;
     }
 
-    if (!in_flight_ && !pending_batches_.empty() && now >= not_before_) {
+    const T at = control_->epoch();
+    if (!pending_batches_.empty() && now >= not_before_ && CanIssueAt(at)) {
       if (worker_ == 0) {
         std::vector<ControlInst> batch = pending_batches_.front();
         control_->SendBatch(std::move(batch));
       }
-      in_flight_ = now;
+      in_flight_.push_back(at);
       pending_batches_.pop_front();
     }
 
@@ -106,10 +117,16 @@ class MigrationController {
   }
 
   /// True while batches remain queued or in flight.
-  bool Migrating() const { return in_flight_ || !pending_batches_.empty(); }
+  bool Migrating() const {
+    return !in_flight_.empty() || !pending_batches_.empty();
+  }
   size_t completed_batches() const { return completed_batches_; }
   size_t queued_batches() const { return pending_batches_.size(); }
-  std::optional<T> in_flight_time() const { return in_flight_; }
+  /// Time of the newest outstanding batch, if any.
+  std::optional<T> in_flight_time() const {
+    if (in_flight_.empty()) return std::nullopt;
+    return in_flight_.back();
+  }
 
  private:
   timely::Input<ControlInst, T> control_;
@@ -118,9 +135,18 @@ class MigrationController {
   Options options_;
 
   std::deque<std::vector<ControlInst>> pending_batches_;
-  std::optional<T> in_flight_;
+  /// Issue times of the outstanding batches, oldest first (at most two).
+  std::deque<T> in_flight_;
   T not_before_ = TimestampTraits_Minimum();
   size_t completed_batches_ = 0;
+
+  /// Whether a batch may go out at control epoch `at`: always when none is
+  /// outstanding; with no gap, also as a second one at a later epoch.
+  bool CanIssueAt(const T& at) const {
+    if (in_flight_.empty()) return true;
+    return options_.gap == 0 && in_flight_.size() < 2 &&
+           in_flight_.back() < at;
+  }
 
   static T TimestampTraits_Minimum() {
     return timely::TimestampTraits<T>::Minimum();

@@ -5,11 +5,18 @@
 // control records:
 //   * all-at-once — every change at one common time (the partial
 //     pause-and-resume of existing systems);
-//   * fluid       — one bin at a time, awaiting completion in between;
-//   * batched     — B bins at a time, awaiting completion in between;
+//   * fluid       — one bin per batch;
+//   * batched     — B bins per batch;
 //   * optimized   — batches grouped by bipartite matching so that no two
 //     migrations in a batch share a source or destination worker
 //     (paper §4.4), reducing steps without raising the maximum latency.
+//
+// MigrationController (controller.hpp) issues the batches of a plan one
+// epoch apart, each as soon as the batch two before it has completed, so
+// at most two are outstanding. That is safe because F starts the
+// migrations at `t` only once the S output frontier reaches `t`, and the
+// frontier cannot pass `t` before the batch at `t` is installed; a drain
+// gap instead awaits each batch's completion before the next.
 #pragma once
 
 #include <algorithm>

@@ -1,7 +1,9 @@
 // Edge cases of the MigrationController protocol: a stalled probe must
-// never double-issue the in-flight batch, the configured gap must be
-// enforced between batches, and Close with batches still queued must
-// flush every remaining batch into the control stream.
+// never re-issue a batch and must bound how many go out (two without a
+// gap, one with), the open-loop driver order must issue one batch per
+// epoch, the configured gap must be enforced between batches, and Close
+// with batches still queued must flush every remaining batch into the
+// control stream.
 //
 // The probe is simulated: it watches an auxiliary input stream whose
 // epoch the test advances by hand, which is exactly what the controller
@@ -61,41 +63,115 @@ TEST(ControllerEdge, StalledProbeNeverDoubleIssues) {
   timely::Execute(timely::Config{1}, [&](Worker& w) {
     auto rig = w.Dataflow<T>(BuildRig);
     MigrationController<T> controller(rig.ctrl, rig.probe, w.index(), {});
-    controller.Migrate(FluidBatches(2));
+    controller.Migrate(FluidBatches(3));
 
     controller.Advance(0, 1);  // issues batch 0 at time 0
+    controller.Advance(1, 2);  // prepared ahead: batch 1 at time 1
     EXPECT_EQ(controller.queued_batches(), 1u);
     ASSERT_TRUE(controller.in_flight_time().has_value());
-    EXPECT_EQ(*controller.in_flight_time(), 0u);
+    EXPECT_EQ(*controller.in_flight_time(), 1u);
 
-    // The probe never moves: many more rounds must not issue anything.
-    for (uint64_t e = 1; e <= 20; ++e) {
+    // The probe never moves: with two batches outstanding, many more
+    // rounds must not issue anything.
+    for (uint64_t e = 2; e <= 21; ++e) {
       controller.Advance(e, e + 1);
       w.Step();
       EXPECT_EQ(controller.queued_batches(), 1u);
       EXPECT_EQ(controller.completed_batches(), 0u);
       ASSERT_TRUE(controller.in_flight_time().has_value());
-      EXPECT_EQ(*controller.in_flight_time(), 0u);  // the original issue
+      EXPECT_EQ(*controller.in_flight_time(), 1u);  // the original issue
     }
 
-    // Unstall: the batch completes, and the next one is issued.
+    // Unstall: the batches complete in order, and the last one goes out
+    // as soon as batch 0 has completed.
     rig.sim->AdvanceTo(1);
-    controller.Advance(21, 22);
+    controller.Advance(22, 23);
     EXPECT_EQ(controller.completed_batches(), 1u);
     EXPECT_EQ(controller.queued_batches(), 0u);
     ASSERT_TRUE(controller.in_flight_time().has_value());
-    EXPECT_EQ(*controller.in_flight_time(), 21u);
+    EXPECT_EQ(*controller.in_flight_time(), 22u);
 
-    rig.sim->AdvanceTo(22);
-    controller.Advance(22, 23);
+    rig.sim->AdvanceTo(2);
+    controller.Advance(23, 24);
     EXPECT_EQ(controller.completed_batches(), 2u);
+    EXPECT_TRUE(controller.Migrating());
+
+    rig.sim->AdvanceTo(23);
+    controller.Advance(24, 25);
+    EXPECT_EQ(controller.completed_batches(), 3u);
     EXPECT_FALSE(controller.Migrating());
+
+    controller.Close(25);
+    rig.sim->Close();
+    seen = rig.ctrl_records;
+  });
+  EXPECT_EQ(*seen, 3u);  // each batch's single record, sent once
+}
+
+TEST(ControllerEdge, OpenLoopOrderIssuesOneBatchPerEpoch) {
+  // Open-loop drivers advance the data input to `e` right after
+  // Advance(e, e + 1), so the probe lags the control epoch by one round
+  // and a batch issued at `e` is seen complete only at round e + 2.
+  // Prepared one batch ahead, the plan still moves one batch per epoch.
+  timely::Execute(timely::Config{1}, [&](Worker& w) {
+    auto rig = w.Dataflow<T>(BuildRig);
+    MigrationController<T> controller(rig.ctrl, rig.probe, w.index(), {});
+    controller.Migrate(FluidBatches(8));
+
+    for (uint64_t e = 0; e <= 9; ++e) {
+      controller.Advance(e, e + 1);
+      if (e < 8) {
+        ASSERT_TRUE(controller.in_flight_time().has_value());
+        EXPECT_EQ(*controller.in_flight_time(), e)
+            << "no batch issued at epoch " << e;
+      }
+      rig.sim->AdvanceTo(e);
+      w.Step();
+    }
+    EXPECT_FALSE(controller.Migrating());
+    EXPECT_EQ(controller.completed_batches(), 8u);
+
+    controller.Close(10);
+    rig.sim->Close();
+  });
+}
+
+TEST(ControllerEdge, NonzeroGapKeepsAwaitThenDrain) {
+  // A drain gap asks for an idle stretch after each batch, so it keeps
+  // one batch outstanding: a stalled probe must never let a second out.
+  std::shared_ptr<uint64_t> seen;  // read after Execute fully drains
+  timely::Execute(timely::Config{1}, [&](Worker& w) {
+    typename MigrationController<T>::Options opts;
+    opts.gap = 1;
+    auto rig = w.Dataflow<T>(BuildRig);
+    MigrationController<T> controller(rig.ctrl, rig.probe, w.index(), opts);
+    controller.Migrate(FluidBatches(3));
+
+    for (uint64_t e = 0; e <= 20; ++e) {
+      controller.Advance(e, e + 1);
+      w.Step();
+      EXPECT_EQ(controller.queued_batches(), 2u) << "issued at epoch " << e;
+      EXPECT_EQ(controller.completed_batches(), 0u);
+      ASSERT_TRUE(controller.in_flight_time().has_value());
+      EXPECT_EQ(*controller.in_flight_time(), 0u);
+    }
+
+    rig.sim->AdvanceTo(1);       // batch 0 completes...
+    controller.Advance(21, 22);  // ...and the gap holds the next back
+    EXPECT_EQ(controller.completed_batches(), 1u);
+    EXPECT_EQ(controller.queued_batches(), 2u);
+    EXPECT_FALSE(controller.in_flight_time().has_value());
+
+    controller.Advance(22, 23);  // gap over: 22 >= 21 + 1
+    EXPECT_EQ(controller.queued_batches(), 1u);
+    ASSERT_TRUE(controller.in_flight_time().has_value());
+    EXPECT_EQ(*controller.in_flight_time(), 22u);
 
     controller.Close(23);
     rig.sim->Close();
     seen = rig.ctrl_records;
   });
-  EXPECT_EQ(*seen, 2u);  // each batch's single record, sent once
+  EXPECT_EQ(*seen, 3u);
 }
 
 TEST(ControllerEdge, GapIsEnforcedBetweenBatches) {

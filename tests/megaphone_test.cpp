@@ -635,5 +635,94 @@ TEST(Megaphone, ThrottledStateChannelStillCorrect) {
   EXPECT_EQ(rows, ReferenceCounts(seed, epochs, recs, keys));
 }
 
+TEST(Megaphone, PreparedAheadBatchesOverlapUnderChunkedMigration) {
+  // Open-loop driver order (Advance(e, e + 1), then data->AdvanceTo(e)):
+  // the probe lags the control epoch by one round, so the controller keeps
+  // two batches outstanding. With chunked dense bins, every bin ships over
+  // several steps, and the final pair moves one bin away at `t` and back
+  // at `t + 1` — the second extraction must wait for the first install.
+  const uint32_t workers = 2, bins = 32;
+  const uint64_t epochs = 40, recs = 64, keys = 512, seed = 29;
+  const uint64_t plan_at = 4;
+  const uint64_t keys_per_bin = keys / bins;
+  const int shift = 64 - 9;  // keys == 2^9: a key's high bits are its bin
+  const BinId bounced = 3;
+  const Assignment balanced = MakeInitialAssignment(bins, workers);
+  const Assignment imbalanced = MakeImbalancedAssignment(bins, workers);
+  Assignment away = imbalanced;
+  away[bounced] = 1 - away[bounced];
+  const size_t moves = DiffAssignments(balanced, imbalanced).size() + 2;
+
+  std::mutex mu;
+  std::vector<Row> rows;
+  size_t completed = 0;
+  uint64_t done_at = 0;
+  Execute(timely::Config{workers}, [&](Worker& w) {
+    auto handles = w.Dataflow<uint64_t>([&](Scope<uint64_t>& s) {
+      auto [ctrl_in, ctrl_stream] = NewInput<ControlInst>(s);
+      auto [data_in, data_stream] = NewInput<uint64_t>(s);
+      Config cfg;
+      cfg.num_bins = bins;
+      cfg.chunk_bytes = 48;
+      cfg.chunk_bytes_per_step = 48;
+      using DenseBin = state::DenseState<uint64_t>;
+      auto out = Unary<DenseBin, std::pair<uint64_t, uint64_t>>(
+          ctrl_stream, data_stream,
+          [shift](const uint64_t& k) { return k << shift; },
+          [keys_per_bin](const uint64_t&, DenseBin& state,
+                         std::vector<uint64_t>& recs, auto emit, auto&) {
+            if (state.empty()) state.resize(keys_per_bin);
+            for (uint64_t k : recs) {
+              emit(std::make_pair(k, ++state[k % keys_per_bin]));
+            }
+          },
+          cfg);
+      Sink(out.stream,
+           [&](const uint64_t& t,
+               std::vector<std::pair<uint64_t, uint64_t>>& data) {
+             std::lock_guard<std::mutex> lock(mu);
+             for (auto& [k, c] : data) rows.push_back(Row{t, k, c});
+           });
+      return std::make_tuple(ctrl_in, data_in, out.probe);
+    });
+    auto& [ctrl_in, data_in, probe] = handles;
+    typename MigrationController<uint64_t>::Options opts;
+    opts.strategy = MigrationStrategy::kFluid;
+    MigrationController<uint64_t> controller(ctrl_in, probe, w.index(), opts);
+    uint64_t finished = 0;
+    for (uint64_t e = 0; e < epochs; ++e) {
+      if (e == plan_at) {
+        controller.MigrateTo(balanced, imbalanced);
+        controller.MigrateTo(imbalanced, away);
+        controller.MigrateTo(away, imbalanced);
+      }
+      controller.Advance(e, e + 1);
+      if (e >= plan_at && finished == 0 && !controller.Migrating()) {
+        finished = e;
+      }
+      data_in->AdvanceTo(e);
+      for (uint64_t i = 0; i < recs; ++i) {
+        if (i % workers == w.index()) {
+          data_in->Send(GenKey(seed, e, i, keys));
+        }
+      }
+      w.StepUntil([&] { return !probe.LessThan(e); });
+    }
+    if (w.index() == 0) {
+      completed = controller.completed_batches();
+      done_at = finished;
+    }
+    controller.Close(epochs);
+    data_in->Close();
+  });
+  std::sort(rows.begin(), rows.end());
+  EXPECT_EQ(rows, ReferenceCounts(seed, epochs, recs, keys));
+  EXPECT_EQ(completed, moves);
+  ASSERT_NE(done_at, 0u) << "the plan never finished";
+  // The round of the first issue is round 1; the last batch retires at
+  // round moves + 2 at the latest.
+  EXPECT_LE(done_at - plan_at + 1, moves + 2);
+}
+
 }  // namespace
 }  // namespace megaphone
