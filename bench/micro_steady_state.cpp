@@ -1,31 +1,18 @@
 // Google-benchmark micro suite: the per-record and per-migration costs
 // underlying the macro experiments, including the serialize-vs-move
 // ablation called out in DESIGN.md (state-channel serialization is what
-// makes migration cost scale with state size).
-//
-// Beyond the google-benchmark micro benches, `--steady` runs the
-// steady-state throughput suite (full multi-worker dataflows, native and
-// Megaphone paths) and emits machine-readable JSON for BENCH_*.json files:
-//
-//   micro_steady_state --steady [--records=N] [--epochs=E] [--bins=B]
+// makes migration cost scale with state size). The steady-state
+// throughput suite over full dataflows is `megabench --steady`.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <deque>
-#include <map>
-#include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/hash.hpp"
 #include "common/serde.hpp"
-#include "common/time_util.hpp"
 #include "harness/histogram.hpp"
-#include "harness/report.hpp"
-#include "harness/steady_workload.hpp"
 #include "megaphone/megaphone.hpp"
 #include "timely/timely.hpp"
 
@@ -307,20 +294,9 @@ void BM_PlanOptimizedBatches(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanOptimizedBatches)->Arg(256)->Arg(4096);
 
-// ---------------------------------------------------------------------
-// The closed-loop steady-state throughput suite lives in
-// harness/steady_workload.hpp (shared with `megabench --steady`); this
-// binary keeps its historical `--steady` entry point.
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--steady", 8) == 0) {
-      megaphone::Flags flags(argc, argv);
-      return megaphone::RunSteadySuite(flags);
-    }
-  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -998,7 +998,6 @@ inline void RunFig25(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
   // "bounded RSS" claim is vacuous. 64 KB x 64 bins = 4 MB resident
   // write-back budget per process at the default sizing.
   base.spill_memtable_bytes = flags.GetInt("spill-memtable-bytes", 64 << 10);
-  base.spill_segment_bytes = flags.GetInt("spill-segment-bytes", 0);
   const uint64_t migrate_at =
       flags.GetInt("migrate_at_ms", base.duration_ms / 3);
   // Total state ~= every key's pad + count, ignoring container overhead

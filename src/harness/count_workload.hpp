@@ -101,11 +101,10 @@ struct CountBenchConfig {
 
   /// Byte payload each key's value carries (kPadCount / kSpillCount).
   uint64_t value_pad_bytes = 0;
-  /// Spill backend knobs (kSpillCount): segment directory and LogState
-  /// thresholds. Empty / 0 keep the process-global defaults.
+  /// Spill backend knobs (kSpillCount): segment directory and memtable
+  /// bound, copied into the operator's Config::log_state.
   std::string state_dir;
-  uint64_t spill_memtable_bytes = 0;
-  uint64_t spill_segment_bytes = 0;
+  uint64_t spill_memtable_bytes = state::LogStateOptions{}.memtable_bytes;
 
   /// Closed-loop adaptive control (megaphone modes only): every
   /// `stats_every` epochs each worker ships its per-bin statistics to
@@ -142,19 +141,6 @@ inline uint64_t CountKey(uint64_t seed, uint64_t idx, uint64_t domain) {
 }
 
 inline int Log2(uint64_t v) { return 63 - __builtin_clzll(v); }
-
-/// Publishes spill knobs into GlobalLogStateOptions(); empty / 0 keep the
-/// current value. LogState backends are default-constructed inside bins
-/// and snapshot the process-global options at construction, so call this
-/// before any worker thread builds a dataflow.
-inline void PublishSpillOptions(const std::string& dir,
-                                uint64_t memtable_bytes,
-                                uint64_t segment_bytes) {
-  state::LogStateOptions& o = state::GlobalLogStateOptions();
-  if (!dir.empty()) o.dir = dir;
-  if (memtable_bytes != 0) o.memtable_bytes = memtable_bytes;
-  if (segment_bytes != 0) o.segment_bytes = segment_bytes;
-}
 
 /// Deterministically decides whether record `idx` is part of the hot-key
 /// skew (`pct` percent are, once the skew is active). Independent of the
@@ -222,11 +208,6 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
   const bool is_native = cfg.mode == CountMode::kNativeHash ||
                          cfg.mode == CountMode::kNativeKey;
 
-  if (cfg.mode == CountMode::kSpillCount) {
-    detail::PublishSpillOptions(cfg.state_dir, cfg.spill_memtable_bytes,
-                                cfg.spill_segment_bytes);
-  }
-
   timely::Execute(tcfg, [&](Worker& w) {
     struct Handles {
       timely::Input<ControlInst, T> ctrl;
@@ -250,6 +231,8 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
       mcfg.chunk_bytes = cfg.chunk_bytes;
       mcfg.chunk_bytes_per_step = cfg.chunk_bytes_per_step;
       mcfg.name = CountModeName(cfg.mode);
+      mcfg.log_state.dir = cfg.state_dir;
+      mcfg.log_state.memtable_bytes = cfg.spill_memtable_bytes;
       switch (cfg.mode) {
         case CountMode::kHashCount: {
           using BinState = state::MapState<uint64_t, uint64_t>;
@@ -553,11 +536,12 @@ struct DetCountConfig {
   /// segment manifests instead of inline values.
   enum class Backend { kMap, kLog };
   Backend backend = Backend::kMap;
-  /// Spill knobs (kLog): segment directory and memtable bound. A small
-  /// memtable (e.g. 256 bytes) forces real segment traffic even at this
-  /// harness's toy state sizes. Empty / 0 keep the global defaults.
+  /// Spill knobs (kLog): segment directory and memtable bound, copied
+  /// into the operator's Config::log_state. A small memtable (e.g. 256
+  /// bytes) forces real segment traffic even at this harness's toy state
+  /// sizes.
   std::string state_dir;
-  uint64_t spill_memtable_bytes = 0;
+  uint64_t spill_memtable_bytes = state::LogStateOptions{}.memtable_bytes;
 
   /// Checkpoint/restore (fault drills). When `checkpoint_dir` is set the
   /// run writes one frontier-aligned checkpoint segment per process every
@@ -647,16 +631,6 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
   }
   result.start_epoch = start_epoch;
 
-  // Spill backend plumbing: publish the knobs before any worker spawns;
-  // the checkpoint scope keys LogState::Serialize into manifest mode for
-  // the whole run (set here on the harness thread — workers only ever
-  // read it).
-  std::optional<state::CheckpointDirScope> ck_scope;
-  if (cfg.backend == DetCountConfig::Backend::kLog) {
-    detail::PublishSpillOptions(cfg.state_dir, cfg.spill_memtable_bytes, 0);
-    if (ck_enabled) ck_scope.emplace(cfg.checkpoint_dir);
-  }
-
   // Capture rendezvous for this process's workers: each stages its bins,
   // the local root writes the segment, and nobody proceeds into the next
   // epoch until the file is published (temp + rename).
@@ -691,6 +665,9 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
       mcfg.chunk_bytes_per_step = cfg.chunk_bytes_per_step;
       mcfg.name = "DetCount";
       if (start_epoch > 0) mcfg.initial_owner = seg.assignment;
+      mcfg.log_state.dir = cfg.state_dir;
+      mcfg.log_state.memtable_bytes = cfg.spill_memtable_bytes;
+      mcfg.log_state.checkpoint_dir = cfg.checkpoint_dir;  // kLog manifests
       // Every record emits its key's running count; the collector below
       // keeps the maximum per key, which equals the final count. One
       // fold, two interchangeable backends — StatefulOutput depends only

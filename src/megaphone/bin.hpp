@@ -24,6 +24,7 @@
 #include <memory>
 #include <set>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -50,9 +51,15 @@ void SerializeParts(Writer& w, const Backend& backend,
   (Encode(w, pending), ...);
 }
 
+/// The inverse of SerializeParts, decoding in place where the backend can
+/// (LogState), so it keeps its options.
 template <typename Backend, typename... Pending>
 void DeserializeParts(Reader& r, Backend& backend, Pending&... pending) {
-  backend = Decode<Backend>(r);
+  if constexpr (requires { backend.DeserializeInPlace(r); }) {
+    backend.DeserializeInPlace(r);
+  } else {
+    backend = Decode<Backend>(r);
+  }
   ((pending = Decode<Pending>(r)), ...);
 }
 
@@ -169,12 +176,27 @@ struct LaneBin {
         [&](const auto&... p) { detail::SerializeParts(w, state, p...); },
         pending);
   }
+  /// The encoding checkpoint capture writes: Serialize's layout, with a
+  /// LogState backend as its segment manifest. Migration never uses it,
+  /// so a migrating bin always ships its bytes.
+  void SerializeCheckpoint(Writer& w) const {
+    if constexpr (requires { state.SerializeCheckpoint(w); }) {
+      state.SerializeCheckpoint(w);
+    } else {
+      Encode(w, state);
+    }
+    ForEachPendingMap([&](const auto& m) { Encode(w, m); });
+  }
   static LaneBin Deserialize(Reader& r) {
     LaneBin b;
-    std::apply(
-        [&](auto&... p) { detail::DeserializeParts(r, b.state, p...); },
-        b.pending);
+    b.DeserializeInPlace(r);
     return b;
+  }
+  /// Decodes either encoding into this bin, keeping the backend's options.
+  void DeserializeInPlace(Reader& r) {
+    std::apply(
+        [&](auto&... p) { detail::DeserializeParts(r, state, p...); },
+        pending);
   }
 
   void DrainChunks(size_t max_bytes,
@@ -216,9 +238,22 @@ using Bin = LaneBin<S, T, D>;
 /// the times of a bin it extracts for migration.
 template <typename BinT, typename T>
 struct BinsShared {
-  explicit BinsShared(uint32_t n) : bins(n) {}
+  explicit BinsShared(uint32_t n, state::LogStateOptions opts = {})
+      : bins(n), backend_opts(std::move(opts)) {}
+
+  /// A fresh bin for first touch, migration absorb or checkpoint restore;
+  /// a LogState backend is built from the operator's options.
+  std::unique_ptr<BinT> NewBin() const {
+    auto b = std::make_unique<BinT>();
+    using B = typename BinT::Backend;
+    if constexpr (std::is_constructible_v<B, const state::LogStateOptions&>) {
+      b->state = B(backend_opts);
+    }
+    return b;
+  }
 
   std::vector<std::unique_ptr<BinT>> bins;
+  state::LogStateOptions backend_opts;  // every bin is built with these
   std::map<T, std::set<BinId>> pending_bins;
   /// Checkpoint-restore staging: (bin, whole-value bytes) deposited by
   /// StatefulOutput::restore_bins before stepping begins; S installs

@@ -92,6 +92,9 @@ struct Config {
   /// updates yet — restored runs resume with the checkpointed assignment
   /// and must not migrate at the minimum timestamp.
   std::vector<uint32_t> initial_owner;
+  /// Options every LogState bin backend of this operator is built with
+  /// (spill and checkpoint directories, thresholds); others ignore them.
+  state::LogStateOptions log_state;
 
   uint64_t ChunkStepBudget() const {
     if (chunk_bytes_per_step != 0) return chunk_bytes_per_step;
@@ -189,7 +192,7 @@ struct StatefulOutput {
   std::function<void(BinStats&)> take_bin_stats;
 
   /// Checkpoint hooks over this worker's bin container. `capture_bins`
-  /// appends every resident bin as (bin id, whole-value serialization) —
+  /// appends every resident bin as (bin id, its SerializeCheckpoint bytes) —
   /// call it only at a frontier-aligned quiescent point (no stashed
   /// records, no in-flight migration). `restore_bins` stages such pairs
   /// for installation at S's next schedule, before any data is ingested;
@@ -297,7 +300,7 @@ void AbsorbChunkFrame(BinsShared<BinT, T>& shared,
   if (!ab.bin) {
     MEGA_CHECK(!shared.bins[m.bin])
         << "received state for an already-resident bin";
-    ab.bin = std::make_unique<BinT>();
+    ab.bin = shared.NewBin();
     ab.next_seq = 0;
   }
   MEGA_CHECK_EQ(m.seq, ab.next_seq) << "state chunk out of order";
@@ -369,7 +372,8 @@ StatefulOutput<R, T> StatefulCore(timely::Stream<ControlInst, T> control,
   MEGA_CHECK((num_bins & (num_bins - 1)) == 0 && num_bins > 0)
       << "num_bins must be a power of two";
 
-  auto shared = std::make_shared<BinsShared<BinT, T>>(num_bins);
+  auto shared =
+      std::make_shared<BinsShared<BinT, T>>(num_bins, cfg.log_state);
   auto probe_slot = std::make_shared<timely::ProbeHandle<T>>();
   auto inboxes =
       std::make_shared<std::tuple<SelfInbox<typename Lanes::Record, T>...>>();
@@ -558,7 +562,8 @@ StatefulOutput<R, T> StatefulCore(timely::Stream<ControlInst, T> control,
       for (auto& [rb, rbytes] : shared->restore_staging) {
         MEGA_CHECK(!shared->bins[rb]) << "restore into resident bin " << rb;
         Reader rr(rbytes);
-        auto rbin = std::make_unique<BinT>(BinT::Deserialize(rr));
+        auto rbin = shared->NewBin();
+        rbin->DeserializeInPlace(rr);
         rbin->ForEachPendingTime([&](const T& t) {
           shared->RegisterPending(t, rb);
           hold(t);
@@ -666,7 +671,7 @@ StatefulOutput<R, T> StatefulCore(timely::Stream<ControlInst, T> control,
 
       for (BinId b : bins_at_t) {
         auto& slot = shared->bins[b];
-        if (!slot) slot = std::make_unique<BinT>();  // first touch
+        if (!slot) slot = shared->NewBin();  // first touch
         // Per lane: the stashed records (or the lane's scratch buffer),
         // followed by the bin's post-dated records at *t.
         std::tuple<std::vector<typename Lanes::Record>*...> recs;
@@ -758,7 +763,7 @@ StatefulOutput<R, T> StatefulCore(timely::Stream<ControlInst, T> control,
         for (BinId b = 0; b < shared->bins.size(); ++b) {
           if (!shared->bins[b]) continue;
           Writer w;
-          shared->bins[b]->Serialize(w);
+          shared->bins[b]->SerializeCheckpoint(w);
           out.emplace_back(b, w.Take());
         }
       };

@@ -11,10 +11,11 @@
 // "checkpoint-based recovery" pattern from the state-management survey:
 // atomically published, all-or-nothing units).
 //
-// The bin payloads are the exact bytes `Bin::Serialize` produces — the
-// same whole-value serde migration uses — so restore is "absorb these
-// bins as if they had just migrated in", and a restored run continues
-// byte-identically (proven by tests/recovery_test.cpp).
+// The bin payloads are the bytes `LaneBin::SerializeCheckpoint` produces
+// — the whole-value encoding migration uses, except that a LogState
+// backend writes a segment manifest instead of its values — so restore
+// is "absorb these bins as if they had just migrated in", and a restored
+// run continues byte-identically (proven by tests/recovery_test.cpp).
 #pragma once
 
 #include <cinttypes>
@@ -106,7 +107,8 @@ inline CheckpointSegment LoadSegment(const std::string& path) {
 /// The largest epoch for which all `processes` segment files exist in
 /// `dir`, or 0 if there is no complete checkpoint. (Epoch 0 is never a
 /// checkpoint: it is the initial state, recoverable by just starting
-/// over.)
+/// over.) The lsck_* subdirectories LogState::SerializeCheckpoint
+/// publishes into the same directory never match the segment pattern.
 inline uint64_t LatestCompleteEpoch(const std::string& dir,
                                     uint32_t processes) {
   std::error_code ec;
@@ -139,38 +141,6 @@ inline bool LoadLatestSegment(const std::string& dir, uint32_t processes,
   MEGA_CHECK_EQ(out->epoch, epoch);
   return true;
 }
-
-/// Marks "a checkpoint capture is in progress, publishing into `dir`".
-///
-/// Backends with out-of-core representations (LogState) key their
-/// whole-value Serialize on this: inside a scope they publish sealed
-/// segment files into a subdirectory of `dir` (hard link or copy) and
-/// serialize a manifest + memtable delta instead of materializing every
-/// key — the point of a log-structured checkpoint. Outside any scope they
-/// serialize inline, which is what migration's monolithic path needs.
-///
-/// The scope is process-global (bin backends are default-constructed
-/// inside the dataflow, so there is no per-instance plumbing) and is only
-/// read/written from the harness thread bracketing a capture plus the
-/// worker threads inside it, which the capture barrier already orders.
-/// LatestCompleteEpoch ignores the published subdirectories: their names
-/// never match the ckpt_e*_p*.bin segment pattern.
-class CheckpointDirScope {
- public:
-  explicit CheckpointDirScope(std::string dir) { Current() = std::move(dir); }
-  ~CheckpointDirScope() { Current().clear(); }
-  CheckpointDirScope(const CheckpointDirScope&) = delete;
-  CheckpointDirScope& operator=(const CheckpointDirScope&) = delete;
-
-  static bool active() { return !Current().empty(); }
-  static const std::string& dir() { return Current(); }
-
- private:
-  static std::string& Current() {
-    static std::string d;
-    return d;
-  }
-};
 
 }  // namespace state
 }  // namespace megaphone

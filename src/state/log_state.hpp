@@ -23,16 +23,15 @@
 // the memtable and the index in key order and streams bounded sorted runs
 // straight from the segments (pread per indexed value); AbsorbChunk
 // appends the incoming run directly to a fresh segment on the
-// destination, bypassing the memtable. Whole-value serde is dual-mode:
-// inline (tag 0 — what monolithic migration ships) or, inside a
-// CheckpointDirScope, a LogManifest (tag 1) that hard-links/copies the
-// segment files into the checkpoint directory and serializes only the
-// manifest + memtable delta — a checkpoint costs O(delta), not O(state).
+// destination, bypassing the memtable. Serialize is always inline (tag 0
+// — what monolithic migration ships); only checkpoint capture calls
+// SerializeCheckpoint, which hard-links/copies the segment files into
+// `checkpoint_dir` and writes a LogManifest (tag 1) of them plus the
+// memtable delta — a checkpoint costs O(delta), not O(state).
 //
-// Bin backends are default-constructed deep inside the dataflow, so
-// configuration is process-global: set GlobalLogStateOptions() before
-// workers start (the harness entry points do). Each instance owns a
-// unique directory under options.dir and removes it on destruction.
+// Options are per instance, from the operator's megaphone::Config. Each
+// instance owns a unique directory under options.dir and removes it on
+// destruction.
 #pragma once
 
 #include <unistd.h>
@@ -48,7 +47,6 @@
 
 #include "common/check.hpp"
 #include "common/serde.hpp"
-#include "state/checkpoint.hpp"
 #include "state/migratable.hpp"
 #include "state/segment_log.hpp"
 
@@ -69,19 +67,15 @@ struct LogStateOptions {
   double compact_garbage_ratio = 0.5;
   /// ...and the footprint is at least this (tiny logs aren't worth it).
   uint64_t compact_min_bytes = 1ull << 20;
+  /// Where SerializeCheckpoint publishes segment files, one subdirectory
+  /// per capture; empty means checkpoints are inline too.
+  std::string checkpoint_dir;
 };
-
-/// Process-global options snapshot new LogState instances copy at
-/// construction. Set it on the harness thread before workers start.
-inline LogStateOptions& GlobalLogStateOptions() {
-  static LogStateOptions opts;
-  return opts;
-}
 
 template <typename K, typename V>
 class LogState {
  public:
-  LogState() : opts_(GlobalLogStateOptions()) {}
+  LogState() = default;
   explicit LogState(LogStateOptions opts) : opts_(std::move(opts)) {}
 
   LogState(const LogState&) = delete;
@@ -228,11 +222,8 @@ class LogState {
 
   // --- whole-value serde -----------------------------------------------
 
+  /// The self-contained encoding (tag 0): every live key and value.
   void Serialize(Writer& w) const {
-    if (CheckpointDirScope::active() && !segs_.empty()) {
-      SerializeManifest(w);
-      return;
-    }
     uint8_t tag = 0;
     w.WriteBytes(&tag, 1);
     Encode(w, static_cast<uint64_t>(live_));
@@ -248,22 +239,36 @@ class LogState {
     });
   }
 
+  /// The checkpoint encoding: a manifest plus memtable delta (tag 1), or
+  /// inline without a checkpoint directory or spilled segments.
+  void SerializeCheckpoint(Writer& w) const {
+    if (opts_.checkpoint_dir.empty() || segs_.empty()) return Serialize(w);
+    SerializeManifest(w);
+  }
+
   static LogState Deserialize(Reader& r) {
-    uint8_t tag;
-    r.ReadBytes(&tag, 1);
     LogState s;
+    s.DeserializeInPlace(r);
+    return s;
+  }
+
+  /// Replaces the contents with a decoded Serialize or SerializeCheckpoint
+  /// encoding, keeping this instance's options.
+  void DeserializeInPlace(Reader& r) {
+    *this = LogState(opts_);
+    uint8_t tag = 0;
+    r.ReadBytes(&tag, 1);
     if (tag == 0) {
       uint64_t n = r.ReadCount(1);
       for (uint64_t i = 0; i < n; ++i) {
         K k = Decode<K>(r);
-        s[k] = Decode<V>(r);  // memtable path: flushes stay bounded
+        (*this)[k] = Decode<V>(r);  // memtable path: flushes stay bounded
       }
     } else if (tag == 1) {
-      s.RestoreFromManifest(Decode<LogManifest>(r));
+      RestoreFromManifest(Decode<LogManifest>(r));
     } else {
       throw SerdeError("log state: unknown serialization tag");
     }
-    return s;
   }
 
   // --- maintenance and introspection -----------------------------------
@@ -576,7 +581,7 @@ class LogState {
     uint8_t tag = 1;
     w.WriteBytes(&tag, 1);
     LogManifest m;
-    m.dir = CheckpointDirScope::dir() + "/lsck_p" +
+    m.dir = opts_.checkpoint_dir + "/lsck_p" +
             std::to_string(::getpid()) + "_" +
             std::to_string(NextInstanceId());
     std::filesystem::create_directories(m.dir);

@@ -2,10 +2,12 @@
 // migration stress (ping-pong), controller pacing (drain gap), bin
 // container accounting, the pinned bin wire format, and misuse checks.
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <string>
@@ -370,6 +372,77 @@ TEST(MegaphoneExtra, ChunkedExtractionRebuildsTheSameBin) {
   EXPECT_EQ(std::get<0>(back.pending),
             (std::map<uint64_t, std::vector<uint64_t>>{{11, {1, 2, 3}},
                                                         {12, {4}}}));
+}
+
+// Every path that creates or replaces a bin backend builds it from the
+// operator's options: first touch (NewBin), monolithic and chunked
+// absorb, and checkpoint restore. Only checkpoint capture publishes a
+// segment manifest; extraction for migration always ships the values.
+TEST(MegaphoneExtra, LogStateBinsKeepOperatorOptions) {
+  using LS = state::LogState<uint64_t, uint64_t>;
+  using BinT = Bin<LS, uint64_t, uint64_t>;
+  char tmpl[] = "/tmp/mega_binopts_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string root = tmpl;
+  state::LogStateOptions opts;
+  opts.dir = root + "/spill";
+  opts.memtable_bytes = 256;  // force segment traffic at test scale
+  opts.checkpoint_dir = root + "/ck";
+  BinsShared<BinT, uint64_t> shared(2, opts);
+  auto fill = [&](BinId b) {
+    shared.bins[b] = shared.NewBin();
+    for (uint64_t k = 0; k < 300; ++k) {
+      shared.bins[b]->user_state()[k] = k + b;
+    }
+    EXPECT_GT(shared.bins[b]->state.segment_count(), 0u);
+  };
+  auto expect_opts = [&](const LS& s) {
+    EXPECT_EQ(s.options().dir, opts.dir);
+    EXPECT_EQ(s.options().memtable_bytes, 256u);
+    EXPECT_EQ(s.options().checkpoint_dir, opts.checkpoint_dir);
+  };
+
+  std::map<BinId, detail::AbsorbingBin<BinT>> absorbing;
+  for (uint64_t chunk : {uint64_t{0}, uint64_t{64}}) {
+    fill(0);
+    std::map<uint64_t, uint64_t> want = shared.bins[0]->state.Snapshot();
+    auto frames = detail::ExtractBinChunks(shared, 0, /*target=*/1, chunk);
+    for (auto& f : frames) {
+      detail::AbsorbChunkFrame(shared, absorbing, f, /*worker=*/1,
+                               [](uint64_t) {});
+    }
+    ASSERT_TRUE(shared.bins[0]) << "chunk_bytes=" << chunk;
+    EXPECT_EQ(shared.bins[0]->state.Snapshot(), want);
+    expect_opts(shared.bins[0]->state);
+  }
+  EXPECT_FALSE(std::filesystem::exists(opts.checkpoint_dir))
+      << "a migration published a checkpoint manifest";
+
+  fill(1);
+  Writer w;
+  shared.bins[1]->SerializeCheckpoint(w);
+  std::vector<uint8_t> bytes = w.Take();
+  EXPECT_TRUE(std::filesystem::exists(opts.checkpoint_dir))
+      << "checkpoint capture published no manifest";
+  auto restored = shared.NewBin();
+  Reader r(bytes);
+  restored->DeserializeInPlace(r);
+  EXPECT_EQ(restored->state.Snapshot(), shared.bins[1]->state.Snapshot());
+  expect_opts(restored->state);
+
+  // Backends without a checkpoint form capture their whole-value bytes.
+  Bin<BinState, uint64_t, uint64_t> plain;
+  plain.user_state()[3] = 4;
+  std::get<0>(plain.pending)[7] = {1};
+  Writer a, c;
+  plain.Serialize(a);
+  plain.SerializeCheckpoint(c);
+  EXPECT_EQ(a.Take(), c.Take());
+
+  shared.bins.clear();
+  restored.reset();
+  std::error_code ec;
+  std::filesystem::remove_all(root, ec);
 }
 
 // Pins the bin wire format: checkpoints on disk and external decoders of

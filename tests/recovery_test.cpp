@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 
 #include "harness/harness.hpp"
@@ -42,6 +43,15 @@ std::string MakeCheckpointDir() {
   const char* dir = ::mkdtemp(tmpl);
   MEGA_CHECK(dir != nullptr) << "mkdtemp failed";
   return std::string(dir);
+}
+
+// LogState checkpoint manifests (lsck_* subdirectories) under `dir`.
+size_t CountManifests(const std::string& dir) {
+  size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().filename().string().rfind("lsck_", 0) == 0) ++n;
+  }
+  return n;
 }
 
 timely::Config FastFailure(timely::Config tc) {
@@ -158,6 +168,81 @@ TEST(Recovery, KillOneProcessRecoversByteIdentical) {
   EXPECT_EQ(out.digest, ref.digest)
       << "post-recovery digest diverged from the fault-free run";
   EXPECT_EQ(out.distinct_keys, ref.distinct_keys);
+}
+
+// Migration ships a bin's bytes, never a checkpoint manifest. A
+// spill-backend run with a checkpoint directory configured but no capture
+// due (checkpoint_every > epochs) migrates its spilled bins monolithically
+// (chunk_bytes 0): nothing may appear under the checkpoint directory — a
+// manifest there would be a local path standing in for state a remote
+// destination cannot read — and the digest must equal the MapState run.
+TEST(Recovery, MonolithicMigrationOfSpilledBinsShipsBytes) {
+  DetCountConfig cfg = RecoveryConfig();
+  timely::Config single;
+  single.workers = 4;
+  DetCountResult ref = RunDeterministicCount(cfg, single);
+  ASSERT_TRUE(ref.root);
+  ASSERT_GT(ref.completed_batches, 0u) << "migration never ran";
+
+  DetCountConfig lg = cfg;
+  lg.backend = DetCountConfig::Backend::kLog;
+  lg.state_dir = MakeCheckpointDir();
+  lg.spill_memtable_bytes = 256;  // force segment traffic
+  lg.chunk_bytes = 0;
+  lg.checkpoint_dir = MakeCheckpointDir();
+  lg.checkpoint_every = 1000;  // > epochs: no checkpoint is captured
+  DetCountResult out = RunDeterministicCount(lg, single);
+  ASSERT_TRUE(out.root);
+
+  EXPECT_EQ(CountManifests(lg.checkpoint_dir), 0u)
+      << "a migration published segment manifests instead of bin bytes";
+  EXPECT_EQ(out.digest, ref.digest) << "LogState run diverged from MapState";
+  EXPECT_EQ(out.completed_batches, ref.completed_batches);
+
+  std::error_code ec;
+  std::filesystem::remove_all(lg.state_dir, ec);
+  std::filesystem::remove_all(lg.checkpoint_dir, ec);
+}
+
+// The complement: checkpoint capture of spilled bins does publish
+// manifests, from bins created at first touch and from bins restored out
+// of a checkpoint alike, and resuming from them reproduces the MapState
+// digest.
+TEST(Recovery, SpilledBinsCheckpointAsManifests) {
+  DetCountConfig cfg = RecoveryConfig();
+  cfg.migrate_at_epoch = cfg.epochs;  // no migration: bins stay put
+  timely::Config single;
+  single.workers = 4;
+  DetCountResult ref = RunDeterministicCount(cfg, single);
+  ASSERT_TRUE(ref.root);
+
+  DetCountConfig lg = cfg;
+  lg.backend = DetCountConfig::Backend::kLog;
+  lg.state_dir = MakeCheckpointDir();
+  lg.spill_memtable_bytes = 256;  // force segment traffic
+  lg.checkpoint_dir = MakeCheckpointDir();
+  lg.checkpoint_every = 2;
+  DetCountResult out = RunDeterministicCount(lg, single);
+  ASSERT_TRUE(out.root);
+  EXPECT_EQ(out.digest, ref.digest);
+  const size_t captured = CountManifests(lg.checkpoint_dir);
+  EXPECT_GT(captured, 0u) << "spilled bins checkpointed inline";
+
+  // Drop the epoch-6 checkpoint: the resume restores epoch 4, and its
+  // epoch-6 capture comes from restored bins.
+  ASSERT_TRUE(std::filesystem::remove(
+      state::SegmentPath(lg.checkpoint_dir, 6, /*process=*/0)));
+  lg.restore = true;
+  DetCountResult resumed = RunDeterministicCount(lg, single);
+  ASSERT_TRUE(resumed.root);
+  EXPECT_EQ(resumed.start_epoch, 4u);
+  EXPECT_EQ(resumed.digest, ref.digest);
+  EXPECT_GT(CountManifests(lg.checkpoint_dir), captured)
+      << "restored bins lost the operator's checkpoint directory";
+
+  std::error_code ec;
+  std::filesystem::remove_all(lg.state_dir, ec);
+  std::filesystem::remove_all(lg.checkpoint_dir, ec);
 }
 
 // Segment files must be atomically published: a torn write (simulated by

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "state/checkpoint.hpp"
 #include "state/state.hpp"
 
 namespace megaphone {
@@ -307,16 +306,36 @@ TEST(LogState, ChunkRoundTripAtEveryBound) {
 }
 
 TEST(LogState, WholeValueSerdeRoundTripsInline) {
-  // Without a CheckpointDirScope the encoding is self-contained (tag 0):
-  // it must decode in a process that shares no filesystem state.
-  LogState<uint64_t, std::string> s(SmallLogOpts());
+  // Serialize — what monolithic migration ships — is self-contained (tag
+  // 0) even with a checkpoint directory configured: it must decode in a
+  // process that shares no filesystem state, and it publishes nothing.
+  char tmpl[] = "/tmp/mega_lsck_test_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  LogStateOptions opts = SmallLogOpts();
+  opts.checkpoint_dir = tmpl;
+  LogState<uint64_t, std::string> s(opts);
   for (uint64_t k = 0; k < 150; ++k) s[k] = std::string(k % 17, 'y');
   s.erase(3);
   s.erase(99);
-  auto back = DecodeFromBytes<LogState<uint64_t, std::string>>(
-      EncodeToBytes(s));
+  ASSERT_GT(s.segment_count(), 0u);
+  std::vector<uint8_t> bytes = EncodeToBytes(s);
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_EQ(bytes[0], 0u) << "Serialize must carry the values inline";
+  EXPECT_TRUE(std::filesystem::is_empty(tmpl))
+      << "Serialize published files into the checkpoint directory";
+  auto back = DecodeFromBytes<LogState<uint64_t, std::string>>(bytes);
   EXPECT_EQ(back.Snapshot(), s.Snapshot());
   EXPECT_EQ(back.size(), s.size());
+
+  // An in-place decode keeps the receiving instance's options.
+  LogState<uint64_t, std::string> into(SmallLogOpts(256));
+  Reader r(bytes);
+  into.DeserializeInPlace(r);
+  EXPECT_EQ(into.Snapshot(), s.Snapshot());
+  EXPECT_EQ(into.options().memtable_bytes, 256u);
+
+  std::error_code ec;
+  std::filesystem::remove_all(tmpl, ec);
 }
 
 TEST(LogState, MoveTransfersSegmentOwnership) {
@@ -341,7 +360,9 @@ TEST(LogState, ManifestCheckpointRestoresAndRejectsTornSegment) {
   ASSERT_NE(mkdtemp(tmpl), nullptr);
   std::string ckdir = tmpl;
 
-  LogState<uint64_t, std::string> s(SmallLogOpts());
+  LogStateOptions opts = SmallLogOpts();
+  opts.checkpoint_dir = ckdir;
+  LogState<uint64_t, std::string> s(opts);
   std::map<uint64_t, std::string> ref;
   for (uint64_t k = 0; k < 180; ++k) {
     std::string v(1 + (k % 13), 'z');
@@ -355,13 +376,14 @@ TEST(LogState, ManifestCheckpointRestoresAndRejectsTornSegment) {
   }
   ASSERT_GT(s.segment_count(), 0u);
 
-  std::vector<uint8_t> bytes;
-  {
-    CheckpointDirScope scope(ckdir);
-    bytes = EncodeToBytes(s);
-  }
+  Writer cw;
+  s.SerializeCheckpoint(cw);
+  std::vector<uint8_t> bytes = cw.Take();
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_EQ(bytes[0], 1u) << "checkpoint capture must write a manifest";
 
-  // Restore outside the scope: the manifest carries its own directory.
+  // Restore with default options (no checkpoint directory): the manifest
+  // carries its own.
   auto back = DecodeFromBytes<LogState<uint64_t, std::string>>(bytes);
   EXPECT_EQ(back.Snapshot(), ref);
 
