@@ -262,18 +262,18 @@ inline uint64_t DurationMsFromFlags(const Flags& flags, double rate,
 }
 
 /// --strategy=LABEL filters the variant set; "all" (default) keeps every
-/// variant. Matches the variant label or the StrategyName.
-inline bool VariantEnabled(const Flags& flags, const char* label,
-                           MigrationStrategy strategy) {
+/// variant. Matches the variant label only: the filter for variants that
+/// share a strategy (fig 22, fig 25) or have none ("native").
+inline bool LabelEnabled(const Flags& flags, const char* label) {
   std::string want = flags.GetStr("strategy", "all");
-  return want == "all" || want == label || want == StrategyName(strategy);
+  return want == "all" || want == label;
 }
 
-/// The native (non-Megaphone) panel has no migration strategy; it runs
-/// only when unfiltered or explicitly requested.
-inline bool NativeEnabled(const Flags& flags) {
-  std::string want = flags.GetStr("strategy", "all");
-  return want == "all" || want == "native";
+/// Matches the variant label or the StrategyName.
+inline bool VariantEnabled(const Flags& flags, const char* label,
+                           MigrationStrategy strategy) {
+  return LabelEnabled(flags, label) ||
+         flags.GetStr("strategy", "all") == StrategyName(strategy);
 }
 
 // -------------------------------------------------- count timeline figs
@@ -428,7 +428,7 @@ inline void RunNexmarkFig(BenchProcs& procs, const Flags& flags, int q,
     benchjson::OpenLoop(j, r, benchjson::Sent::kEvents);
     j.EndObject();
   }
-  if (with_native && NativeEnabled(flags)) {
+  if (with_native && LabelEnabled(flags, "native")) {
     NexmarkBenchConfig run = base;
     run.use_megaphone = false;
     auto r = procs.RunNexmark(run);
@@ -514,7 +514,7 @@ inline void RunOverheadFig(BenchProcs& procs, const Flags& flags, int fig,
     auto r = procs.RunCount(cfg);
     if (r.root) add_row(std::to_string(lb), cfg.num_bins, r);
   }
-  if (NativeEnabled(flags)) {
+  if (LabelEnabled(flags, "native")) {
     CountBenchConfig cfg = base;
     cfg.mode = native_mode;
     auto r = procs.RunCount(cfg);
@@ -816,8 +816,7 @@ inline void RunFig22(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
   std::vector<std::pair<const char*, double>> max_ms;
   j.Key("variants").BeginArray();
   for (const auto& v : variants) {
-    std::string want = flags.GetStr("strategy", "all");
-    if (want != "all" && want != v.label) continue;
+    if (!LabelEnabled(flags, v.label)) continue;
     CountBenchConfig cfg = base;
     cfg.chunk_bytes = v.chunk_bytes;
     cfg.chunk_bytes_per_step = v.chunk_bytes == 0 ? 0 : chunk_step;
@@ -1043,8 +1042,7 @@ inline void RunFig25(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
 
   j.Key("variants").BeginArray();
   for (const auto& v : variants) {
-    std::string want = flags.GetStr("strategy", "all");
-    if (want != "all" && want != v.label) continue;
+    if (!LabelEnabled(flags, v.label)) continue;
     CountBenchConfig cfg = base;
     cfg.mode = v.mode;
     if (v.mode == CountMode::kSpillCount) cfg.state_dir = spill_dir;

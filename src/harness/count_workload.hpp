@@ -11,10 +11,11 @@
 //     per key, held in the in-memory MapState vs. the spill-to-disk
 //     LogState: the fig. 25 memory-bound pair.
 //
-// The driver is open-loop: records are injected at their scheduled wall
-// deadline regardless of system responsiveness, per-epoch completion is
-// observed through a probe on the operator output, and latencies are
-// recorded into 250 ms timeline buckets — precisely the paper's harness.
+// The bench driver is open-loop: records are injected at their scheduled
+// wall deadline regardless of system responsiveness, and migrations once
+// their wall time has passed; OpenLoopMeter observes per-epoch completion.
+// The deterministic harness at the bottom drives the same key stream in
+// lockstep epochs (detail::Lockstep) for correctness checks.
 #pragma once
 
 #include <atomic>
@@ -23,7 +24,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -34,6 +34,7 @@
 #include "common/rate_limiter.hpp"
 #include "common/time_util.hpp"
 #include "harness/bench_shard.hpp"
+#include "harness/lockstep.hpp"
 #include "harness/open_loop.hpp"
 #include "megaphone/megaphone.hpp"
 #include "state/checkpoint.hpp"
@@ -88,11 +89,7 @@ struct CountBenchConfig {
   uint64_t chunk_bytes = 0;
   uint64_t chunk_bytes_per_step = 0;
 
-  struct Migration {
-    uint64_t at_ms;  // relative to measurement start
-    Assignment to;
-  };
-  std::vector<Migration> migrations;
+  std::vector<TimedMigration> migrations;
   MigrationStrategy strategy = MigrationStrategy::kBatched;
   size_t batch_size = 16;
   uint64_t gap_ms = 0;
@@ -179,6 +176,46 @@ inline uint64_t HotRangeKey(uint64_t seed, uint64_t idx, uint64_t domain,
   return bin * keys_per_bin + (h >> 32) % keys_per_bin;
 }
 
+/// The dense key-count Megaphone operator over a power-of-two key
+/// `domain`: key-range bins (bin = key / (domain / num_bins)) hold dense
+/// per-key counters.
+template <typename T>
+StatefulOutput<uint64_t, T> KeyCount(timely::Stream<ControlInst, T> ctrl,
+                                     timely::Stream<uint64_t, T> data,
+                                     uint64_t domain, const Config& mcfg) {
+  using DenseBin = state::DenseState<uint64_t>;
+  const int shift = 64 - Log2(domain);
+  const uint64_t keys_per_bin = domain / mcfg.num_bins;
+  const uint64_t slot_mask = keys_per_bin - 1;
+  return Unary<DenseBin, uint64_t>(
+      ctrl, data, [shift](const uint64_t& k) { return k << shift; },
+      [keys_per_bin, slot_mask](const T&, DenseBin& state,
+                                std::vector<uint64_t>& recs, auto, auto&) {
+        if (state.empty()) state.resize(keys_per_bin);
+        for (uint64_t k : recs) state[k & slot_mask]++;
+      },
+      mcfg);
+}
+
+/// The native key-count baseline without migration support: worker =
+/// key % W, each holding dense counters for its share of `domain`.
+template <typename T>
+timely::Stream<uint64_t, T> NativeKeyCount(timely::Stream<uint64_t, T> data,
+                                           uint64_t domain, const char* name) {
+  struct State {
+    std::vector<uint64_t> counts;
+  };
+  const uint32_t workers = data.scope()->peers();
+  return timely::StatefulUnary<State, uint64_t>(
+      data, name, [](const uint64_t& k) { return k; },
+      [workers, domain](const T&, std::vector<uint64_t>& recs, State& state,
+                        timely::OpCtx<T>&,
+                        timely::OutputHandle<uint64_t, T>&) {
+        if (state.counts.empty()) state.counts.resize(domain / workers + 1);
+        for (uint64_t k : recs) state.counts[k / workers]++;
+      });
+}
+
 }  // namespace detail
 
 /// Runs the counting workload; see CountBenchConfig. Each process's local
@@ -203,8 +240,6 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
   std::atomic<uint64_t> t0{0};  // measurement origin (set after preload)
   std::atomic<uint64_t> total_sent{0};
 
-  const int log_domain = detail::Log2(cfg.domain);
-  const uint64_t keys_per_bin = cfg.domain / cfg.num_bins;
   const bool is_native = cfg.mode == CountMode::kNativeHash ||
                          cfg.mode == CountMode::kNativeKey;
 
@@ -233,46 +268,33 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
       mcfg.name = CountModeName(cfg.mode);
       mcfg.log_state.dir = cfg.state_dir;
       mcfg.log_state.memtable_bytes = cfg.spill_memtable_bytes;
+      auto adopt = [&](StatefulOutput<uint64_t, T> out) {
+        probe = out.probe;
+        take_stats = out.take_bin_stats;
+      };
       switch (cfg.mode) {
         case CountMode::kHashCount: {
           using BinState = state::MapState<uint64_t, uint64_t>;
-          auto out = Unary<BinState, uint64_t>(
+          adopt(Unary<BinState, uint64_t>(
               ctrl_stream, data_stream,
               [](const uint64_t& k) { return HashMix64(k); },
               [](const T&, BinState& state, std::vector<uint64_t>& recs,
                  auto, auto&) {
                 for (uint64_t k : recs) state[k]++;
               },
-              mcfg);
-          probe = out.probe;
-          take_stats = out.take_bin_stats;
+              mcfg));
           break;
         }
-        case CountMode::kKeyCount: {
-          using DenseBin = state::DenseState<uint64_t>;
-          const int shift = 64 - log_domain;
-          const uint64_t slot_mask = keys_per_bin - 1;
-          auto out = Unary<DenseBin, uint64_t>(
-              ctrl_stream, data_stream,
-              [shift](const uint64_t& k) { return k << shift; },
-              [keys_per_bin, slot_mask](const T&, DenseBin& state,
-                                        std::vector<uint64_t>& recs, auto,
-                                        auto&) {
-                if (state.empty()) state.resize(keys_per_bin);
-                for (uint64_t k : recs) state[k & slot_mask]++;
-              },
-              mcfg);
-          probe = out.probe;
-          take_stats = out.take_bin_stats;
+        case CountMode::kKeyCount:
+          adopt(detail::KeyCount(ctrl_stream, data_stream, cfg.domain, mcfg));
           break;
-        }
         case CountMode::kPadCount:
         case CountMode::kSpillCount: {
           // One fold, two backends: the bin layer treats a ChunkableState
           // type as its own backend, so the map/log pair differs only in
           // the declared state type.
           auto build = [&]<typename BinState>() {
-            auto out = Unary<BinState, uint64_t>(
+            adopt(Unary<BinState, uint64_t>(
                 ctrl_stream, data_stream,
                 [](const uint64_t& k) { return HashMix64(k); },
                 [pad = cfg.value_pad_bytes](const T&, BinState& state,
@@ -284,9 +306,7 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
                     v.count++;
                   }
                 },
-                mcfg);
-            probe = out.probe;
-            take_stats = out.take_bin_stats;
+                mcfg));
           };
           if (cfg.mode == CountMode::kPadCount) {
             build.template operator()<state::MapState<uint64_t, PadCount>>();
@@ -308,37 +328,19 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
           probe = timely::Probe(out);
           break;
         }
-        case CountMode::kNativeKey: {
-          struct State {
-            std::vector<uint64_t> counts;
-          };
-          const uint32_t workers = s.peers();
-          auto out = timely::StatefulUnary<State, uint64_t>(
-              data_stream, "NativeKeyCount",
-              [](const uint64_t& k) { return k; },  // worker = key % W
-              [workers, domain = cfg.domain](const T&,
-                                             std::vector<uint64_t>& recs,
-                                             State& state, OpCtx<T>&,
-                                             timely::OutputHandle<uint64_t, T>&) {
-                if (state.counts.empty()) {
-                  state.counts.resize(domain / workers + 1);
-                }
-                for (uint64_t k : recs) state.counts[k / workers]++;
-              });
-          probe = timely::Probe(out);
+        case CountMode::kNativeKey:
+          probe = timely::Probe(
+              detail::NativeKeyCount(data_stream, cfg.domain, "NativeKeyCount"));
           break;
-        }
       }
       return Handles{ctrl_in, data_in, probe, std::move(rep),
                      std::move(stats), std::move(take_stats)};
     });
     auto& [ctrl_in, data_in, probe, rep, stats, take_stats] = handles;
 
-    typename MigrationController<T>::Options mopts;
-    mopts.strategy = cfg.strategy;
-    mopts.batch_size = cfg.batch_size;
-    mopts.gap = cfg.gap_ms;  // epochs are 1 ms
-    MigrationController<T> controller(ctrl_in, probe, w.index(), mopts);
+    MigrationController<T> controller(
+        ctrl_in, probe, w.index(),
+        {cfg.strategy, cfg.batch_size, cfg.gap_ms});  // epochs are 1 ms
 
     // ---- Preload: touch every key once at epoch 0, then wait. ----------
     std::vector<uint64_t> batch;
@@ -363,14 +365,15 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
     const uint64_t end = start + cfg.duration_ms * 1'000'000;
     OpenLoopPacer pacer(cfg.rate, start);
 
-    Assignment current = MakeInitialAssignment(cfg.num_bins, cfg.workers);
-    size_t next_mig = 0;
+    detail::ScheduleCursor schedule{
+        cfg.migrations, MakeInitialAssignment(cfg.num_bins, cfg.workers)};
 
     // Closed loop: reports land on (and plans come from) global worker 0.
     const bool adaptive = cfg.adaptive && !is_native;
     std::optional<AdaptiveController<T>> actrl;
     if (adaptive && w.index() == 0) {
-      actrl.emplace(&controller, cfg.workers, current, cfg.adaptive_opts);
+      actrl.emplace(&controller, cfg.workers, schedule.current,
+                    cfg.adaptive_opts);
     }
     size_t ingested = 0;           // reports folded into the policy so far
     uint64_t next_stats = cfg.stats_every;
@@ -401,12 +404,9 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
       if (now >= end) break;
       uint64_t e = Meter::EpochAt(now - start);
       if (e > cur_epoch) {
-        while (next_mig < cfg.migrations.size() &&
-               cfg.migrations[next_mig].at_ms * 1'000'000 + start <= now) {
-          controller.MigrateTo(current, cfg.migrations[next_mig].to);
-          current = cfg.migrations[next_mig].to;
-          next_mig++;
-        }
+        schedule.Issue(&controller, [&](uint64_t at_ms) {
+          return at_ms * 1'000'000 + start <= now;
+        });
         if (adaptive && e >= next_stats) {
           if (actrl) {
             auto& reps = *stats.reports;
@@ -498,36 +498,20 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg) {
 // ---------------------------------------------------------------------------
 // Deterministic count workload: the multi-process correctness harness.
 //
-// Unlike the open-loop bench above, every quantity here is independent of
-// wall time: a fixed record set (CountKey over a dense global index
-// space, strided by global worker), a fixed epoch schedule driven in
-// lockstep (each epoch waits for the probe before the next), and a
-// migration issued at a fixed epoch. Any run with the same
-// (total_workers, bins, records, epochs, migration) — whatever its
+// Every quantity here is independent of wall time: a fixed record set
+// (CountKey over a dense global index space, strided by global worker)
+// driven by detail::Lockstep. Any run with the same config — whatever its
 // process split — must produce byte-identical final counts and the same
-// number of completed migration batches, which is exactly what the
-// multi-process integration test asserts.
+// completed_batches, which the multi-process test asserts. Only this
+// harness adds checkpoint/restore, a deterministic crash and the adaptive
+// stats phase.
 
-struct DetCountConfig {
-  uint32_t total_workers = 4;
-  uint32_t num_bins = 64;
+struct DetCountConfig : DetRunConfig {
+  DetCountConfig() : DetRunConfig(/*bins=*/64, /*num_epochs=*/8,
+                                  /*migrate_at=*/3) {}
+
   uint64_t domain = 1 << 12;        // distinct keys; power of two
   uint64_t records_per_epoch = 4096;  // all workers combined
-  uint64_t epochs = 8;
-  /// Epoch at which every worker schedules the initial->imbalanced
-  /// migration; >= epochs disables migration. Ignored when `schedule` is
-  /// nonempty.
-  uint64_t migrate_at_epoch = 3;
-  /// Optional explicit migration schedule: (epoch, target assignment)
-  /// pairs in nondecreasing epoch order, overriding migrate_at_epoch —
-  /// how the property tests drive *random* reconfiguration sequences.
-  std::vector<std::pair<uint64_t, Assignment>> schedule;
-  MigrationStrategy strategy = MigrationStrategy::kFluid;
-  size_t batch_size = 1;
-  /// State-chunk frame bound and per-step budget (0 = monolithic). The
-  /// final digest must be byte-identical at every setting.
-  uint64_t chunk_bytes = 0;
-  uint64_t chunk_bytes_per_step = 0;
   uint64_t seed = 1;
 
   /// Operator state backend: the in-memory MapState or the spill-to-disk
@@ -574,14 +558,9 @@ struct DetCountConfig {
   uint32_t skew_prob_pct = 90;
 };
 
-struct DetCountResult {
-  /// Serialized sorted (key -> final count) map; filled only in the
-  /// process hosting global worker 0.
-  std::vector<uint8_t> digest;
+/// `digest` is the serialized sorted (key -> final count) map.
+struct DetCountResult : DetRunResult {
   uint64_t distinct_keys = 0;
-  size_t completed_batches = 0;
-  /// True iff this process hosted global worker 0 (owns digest/batches).
-  bool root = false;
   /// Records injected by this process's workers.
   uint64_t records_sent = 0;
   /// Epoch the run resumed from (0 = fresh run / no usable checkpoint).
@@ -614,7 +593,6 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
       << "adaptive + checkpoint/restore is not supported";
 
   DetCountResult result;
-  std::mutex result_mu;
   std::shared_ptr<std::map<uint64_t, uint64_t>> root_counts;
   std::atomic<uint64_t> total_sent{0};
 
@@ -728,61 +706,23 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
     auto& [ctrl_in, data_in, probe, cprobe, counts, capture, stats,
            take_stats] = handles;
 
-    typename MigrationController<T>::Options mopts;
-    mopts.strategy = cfg.strategy;
-    mopts.batch_size = cfg.batch_size;
-    mopts.gap = 0;
-    MigrationController<T> controller(ctrl_in, probe, w.index(), mopts);
-
-    // The effective migration schedule: either the explicit one or the
-    // classic single initial->imbalanced step. Adaptive runs schedule
-    // nothing up front — worker 0's policy decides as the run unfolds.
-    std::vector<std::pair<uint64_t, Assignment>> schedule = cfg.schedule;
-    if (!cfg.adaptive && schedule.empty() &&
-        cfg.migrate_at_epoch < cfg.epochs) {
-      schedule.emplace_back(cfg.migrate_at_epoch,
-                            MakeImbalancedAssignment(cfg.num_bins, W));
-    }
-    Assignment current = MakeInitialAssignment(cfg.num_bins, W);
-    size_t next_mig = 0;
+    // Adaptive runs schedule nothing up front — worker 0's policy decides
+    // as the run unfolds.
+    detail::Lockstep lock(cfg, !cfg.adaptive, w, ctrl_in, probe, data_in);
     std::optional<AdaptiveController<T>> actrl;
     if (cfg.adaptive && w.index() == 0) {
-      actrl.emplace(&controller, W, current, cfg.adaptive_opts);
+      actrl.emplace(&lock.controller(), W, lock.current(), cfg.adaptive_opts);
     }
     size_t ingested = 0;  // reports folded into the policy so far
-    // Resuming from a checkpoint: migrations before the checkpoint epoch
-    // are already reflected in the restored routing table — skip them,
-    // and cross-check the replayed schedule against the checkpointed
-    // assignment.
-    while (next_mig < schedule.size() &&
-           schedule[next_mig].first < start_epoch) {
-      current = schedule[next_mig].second;
-      next_mig++;
-    }
-    if (start_epoch > 0) {
-      MEGA_CHECK(current == seg.assignment)
-          << "checkpoint assignment diverges from the replayed schedule";
-      data_in->AdvanceTo(start_epoch);
-    }
+    if (start_epoch > 0) lock.Restore(start_epoch, seg.assignment);
     const uint32_t me = w.index();
     uint64_t sent = 0;
     std::vector<uint64_t> batch;
 
-    // Lockstep epochs: inject, advance, and wait for global completion of
-    // the epoch. The wait makes every worker's controller observe the
-    // same probe state at the same epoch, so batch issue/completion — and
-    // therefore completed_batches() — is deterministic. The collector
-    // probe rides along so an epoch boundary is fully quiescent: exactly
-    // the property a frontier-aligned checkpoint needs.
     for (uint64_t e = start_epoch; e < cfg.epochs; ++e) {
       if (e == cfg.die_at_epoch && tcfg.processes > 1 &&
           tcfg.process_index == cfg.die_process) {
         std::raise(SIGKILL);  // deterministic crash for the fault drills
-      }
-      while (next_mig < schedule.size() && schedule[next_mig].first == e) {
-        controller.MigrateTo(current, schedule[next_mig].second);
-        current = schedule[next_mig].second;
-        next_mig++;
       }
       // Worker 0 decides on stats through epoch e-1 (all ingested — the
       // stats-probe wait below ran before this epoch). Other workers
@@ -790,8 +730,7 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
       // from worker 0, which is what makes replaying the emitted plans
       // as a fixed schedule byte-identical.
       if (actrl) actrl->Step(e);
-      controller.Advance(e, e + 1);
-      batch.clear();
+      lock.Begin(e);
       for (uint64_t idx = e * cfg.records_per_epoch;
            idx < (e + 1) * cfg.records_per_epoch; ++idx) {
         if (idx % W == me) {
@@ -806,17 +745,19 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
       sent += batch.size();
       data_in->SendBatch(std::move(batch));
       batch.clear();
-      data_in->AdvanceTo(e + 1);
-      w.StepUntil([&] {
-        return !probe.LessThan(e + 1) && !cprobe.LessThan(e + 1);
-      });
+      lock.End(e);
+      // The collector probe rides along so an epoch boundary is fully
+      // quiescent: exactly the property a frontier-aligned checkpoint
+      // needs.
+      w.StepUntil([&] { return !cprobe.LessThan(e + 1); });
 
       // Frontier-aligned capture: every record at times < e+1 is in the
       // bins (probe) and the collector (cprobe), nothing is stashed for
       // later times, and no migration is in flight — so the segment is an
       // exact cut of the job at epoch e+1.
       if (ck != nullptr && e + 1 < cfg.epochs &&
-          (e + 1) % cfg.checkpoint_every == 0 && !controller.Migrating()) {
+          (e + 1) % cfg.checkpoint_every == 0 &&
+          !lock.controller().Migrating()) {
         state::BinSnapshot snap;
         capture(snap);
         ck->staging[me % tcfg.workers] = std::move(snap);
@@ -824,7 +765,7 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
         if (w.IsLocalRoot()) {
           state::CheckpointSegment out_seg;
           out_seg.epoch = e + 1;
-          out_seg.assignment = current;
+          out_seg.assignment = lock.current();
           const uint32_t local_begin = tcfg.process_index * tcfg.workers;
           for (uint32_t i = 0; i < tcfg.workers; ++i) {
             out_seg.workers[local_begin + i] = std::move(ck->staging[i]);
@@ -854,26 +795,11 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
       }
     }
 
-    // Drain epochs (no data) until the migration has fully completed, so
-    // completed_batches reflects the whole plan.
-    uint64_t e = cfg.epochs;
-    while (controller.Migrating()) {
-      controller.Advance(e, e + 1);
-      data_in->AdvanceTo(e + 1);
-      w.StepUntil([&] { return !probe.LessThan(e + 1); });
-      ++e;
-    }
-    size_t completed = controller.completed_batches();
-    controller.Close(e + 1);
-    data_in->Close();
+    lock.Finish(result);
     if (cfg.adaptive) stats.in->Close();
-
     total_sent += sent;
     if (me == 0) {
-      std::lock_guard<std::mutex> lock(result_mu);
       root_counts = counts;  // final after Execute's post-closure drain
-      result.completed_batches = completed;
-      result.root = true;
       if (actrl) {
         result.emitted_plans = actrl->plans();
         result.final_assignment = actrl->current();

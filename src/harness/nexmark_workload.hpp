@@ -7,21 +7,22 @@
 // and each process measures its own latency shard (against its tracker
 // replica, so serialization and wire delay are part of the record); the
 // shards ship to global worker 0 over the dataflow and merge into one
-// result. The deterministic Q3 harness at the bottom is the correctness
-// counterpart: a lockstep run whose output digest must be independent of
-// the process split, even with a migration mid-run.
+// result. Scheduled migrations are issued once event time has passed
+// them. The deterministic Q3 harness at the bottom is the correctness
+// counterpart: a lockstep run (detail::Lockstep) whose output digest must
+// be independent of the process split, even with migrations mid-run.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
 #include "common/rate_limiter.hpp"
 #include "common/time_util.hpp"
+#include "harness/lockstep.hpp"
 #include "harness/open_loop.hpp"
 #include "harness/report.hpp"
 #include "megaphone/megaphone.hpp"
@@ -40,11 +41,7 @@ struct NexmarkBenchConfig {
   nexmark::QueryConfig qcfg;
   nexmark::GeneratorConfig gcfg;
 
-  struct Migration {
-    uint64_t at_ms;
-    Assignment to;
-  };
-  std::vector<Migration> migrations;
+  std::vector<TimedMigration> migrations;
   MigrationStrategy strategy = MigrationStrategy::kBatched;
   size_t batch_size = 64;
 };
@@ -155,10 +152,8 @@ inline NexmarkBenchResult RunNexmarkBench(NexmarkBenchConfig cfg,
     });
     auto& [ctrl_in, p_in, a_in, b_in, probe, rep] = handles;
 
-    typename MigrationController<T>::Options mopts;
-    mopts.strategy = cfg.strategy;
-    mopts.batch_size = cfg.batch_size;
-    MigrationController<T> controller(ctrl_in, probe, w.index(), mopts);
+    MigrationController<T> controller(ctrl_in, probe, w.index(),
+                                      {cfg.strategy, cfg.batch_size});
 
     uint64_t expected = 0;
     t0.compare_exchange_strong(expected, NowNanos());
@@ -166,9 +161,8 @@ inline NexmarkBenchResult RunNexmarkBench(NexmarkBenchConfig cfg,
     const uint64_t end = start + cfg.duration_ms * 1'000'000;
     OpenLoopPacer pacer(cfg.rate, start);
 
-    Assignment current =
-        MakeInitialAssignment(cfg.qcfg.num_bins, cfg.workers);
-    size_t next_mig = 0;
+    detail::ScheduleCursor schedule{
+        cfg.migrations, MakeInitialAssignment(cfg.qcfg.num_bins, cfg.workers)};
 
     // Per-process measurement, owned by the local root worker.
     std::optional<Meter> meter;
@@ -184,12 +178,7 @@ inline NexmarkBenchResult RunNexmarkBench(NexmarkBenchConfig cfg,
     // Window markers post-dated off event times therefore always land
     // strictly in the future.
     auto advance_all = [&](uint64_t e) {
-      while (next_mig < cfg.migrations.size() &&
-             cfg.migrations[next_mig].at_ms < e) {
-        controller.MigrateTo(current, cfg.migrations[next_mig].to);
-        current = cfg.migrations[next_mig].to;
-        next_mig++;
-      }
+      schedule.Issue(&controller, [e](uint64_t at_ms) { return at_ms < e; });
       controller.Advance(e, e + 1);
       p_in->AdvanceTo(e);
       a_in->AdvanceTo(e);
@@ -270,37 +259,23 @@ inline NexmarkBenchResult RunNexmarkBench(const NexmarkBenchConfig& cfg) {
 //
 // Like RunDeterministicCount, every quantity is independent of wall time:
 // a fixed event prefix from the pure generator (indices strided by global
-// worker), lockstep epochs (each waits for the probe before the next),
-// and a fluid reconfiguration issued at a fixed epoch. Any run with the
-// same config — whatever its process split — must produce the same
-// multiset of Q3 join outputs, which the distributed NEXMark test asserts
-// via a sorted digest.
+// worker) injected in lockstep epochs, with the schedule's migrations
+// issued at fixed epochs (detail::Lockstep). Any run with the same config
+// — whatever its process split — must produce the same multiset of Q3
+// join outputs, which the distributed NEXMark test asserts via a sorted
+// digest.
 
-struct DetNexmarkConfig {
-  uint32_t total_workers = 4;
-  uint32_t num_bins = 32;
+struct DetNexmarkConfig : DetRunConfig {
+  DetNexmarkConfig() : DetRunConfig(/*bins=*/32, /*num_epochs=*/6,
+                                    /*migrate_at=*/2) {}
+
   uint64_t events_per_epoch = 2500;  // all workers combined
-  uint64_t epochs = 6;
-  /// Epoch at which every worker schedules the initial->imbalanced
-  /// reconfiguration; >= epochs disables migration.
-  uint64_t migrate_at_epoch = 2;
-  MigrationStrategy strategy = MigrationStrategy::kFluid;
-  size_t batch_size = 1;
-  /// State-chunk frame bound and per-step budget (0 = monolithic). The
-  /// output digest must be independent of the setting.
-  uint64_t chunk_bytes = 0;
-  uint64_t chunk_bytes_per_step = 0;
   nexmark::GeneratorConfig gcfg;
 };
 
-struct DetNexmarkResult {
-  /// Sorted, serialized multiset of Q3Out records; filled only in the
-  /// process hosting global worker 0.
-  std::vector<uint8_t> digest;
+/// `digest` is the sorted, serialized multiset of Q3Out records.
+struct DetNexmarkResult : DetRunResult {
   uint64_t outputs = 0;
-  size_t completed_batches = 0;
-  /// True iff this process hosted global worker 0 (owns digest/batches).
-  bool root = false;
 };
 
 inline DetNexmarkResult RunDeterministicNexmarkQ3(const DetNexmarkConfig& cfg,
@@ -312,7 +287,6 @@ inline DetNexmarkResult RunDeterministicNexmarkQ3(const DetNexmarkConfig& cfg,
   MEGA_CHECK_EQ(tcfg.workers * std::max(1u, tcfg.processes), W);
 
   DetNexmarkResult result;
-  std::mutex result_mu;
   std::shared_ptr<std::vector<Q3Out>> root_outputs;
   nexmark::Generator gen(cfg.gcfg);
 
@@ -354,66 +328,27 @@ inline DetNexmarkResult RunDeterministicNexmarkQ3(const DetNexmarkConfig& cfg,
     });
     auto& [ctrl_in, p_in, a_in, b_in, probe, collected] = handles;
 
-    typename MigrationController<T>::Options mopts;
-    mopts.strategy = cfg.strategy;
-    mopts.batch_size = cfg.batch_size;
-    mopts.gap = 0;
-    MigrationController<T> controller(ctrl_in, probe, w.index(), mopts);
-
-    const Assignment initial = MakeInitialAssignment(cfg.num_bins, W);
-    const Assignment target = MakeImbalancedAssignment(cfg.num_bins, W);
+    detail::Lockstep lock(cfg, /*scheduled=*/true, w, ctrl_in, probe, p_in,
+                          a_in, b_in);
     const uint32_t me = w.index();
-
-    // Lockstep epochs: inject this worker's stride of the generated event
-    // prefix, advance, and wait for global completion of the epoch.
+    // Each epoch injects this worker's stride of the generated prefix.
     for (uint64_t e = 0; e < cfg.epochs; ++e) {
-      if (e == cfg.migrate_at_epoch) controller.MigrateTo(initial, target);
-      controller.Advance(e, e + 1);
+      lock.Begin(e);
       for (uint64_t idx = e * cfg.events_per_epoch;
            idx < (e + 1) * cfg.events_per_epoch; ++idx) {
         if (idx % W != me) continue;
+        // Q3 ignores bids; skipping them keeps the lockstep run lean.
         nexmark::Event ev = gen.At(idx);
-        switch (ev.kind) {
-          case nexmark::Event::Kind::kPerson:
-            p_in->Send(std::move(ev.person));
-            break;
-          case nexmark::Event::Kind::kAuction:
-            a_in->Send(std::move(ev.auction));
-            break;
-          case nexmark::Event::Kind::kBid:
-            // Q3 ignores bids; skipping them keeps the lockstep run lean.
-            break;
+        if (ev.kind == nexmark::Event::Kind::kPerson) {
+          p_in->Send(std::move(ev.person));
+        } else if (ev.kind == nexmark::Event::Kind::kAuction) {
+          a_in->Send(std::move(ev.auction));
         }
       }
-      p_in->AdvanceTo(e + 1);
-      a_in->AdvanceTo(e + 1);
-      b_in->AdvanceTo(e + 1);
-      w.StepUntil([&] { return !probe.LessThan(e + 1); });
+      lock.End(e);
     }
-
-    // Drain epochs (no data) until the migration has fully completed, so
-    // completed_batches reflects the whole plan.
-    uint64_t e = cfg.epochs;
-    while (controller.Migrating()) {
-      controller.Advance(e, e + 1);
-      p_in->AdvanceTo(e + 1);
-      a_in->AdvanceTo(e + 1);
-      b_in->AdvanceTo(e + 1);
-      w.StepUntil([&] { return !probe.LessThan(e + 1); });
-      ++e;
-    }
-    size_t completed = controller.completed_batches();
-    controller.Close(e + 1);
-    p_in->Close();
-    a_in->Close();
-    b_in->Close();
-
-    if (me == 0) {
-      std::lock_guard<std::mutex> lock(result_mu);
-      root_outputs = collected;  // final after Execute's post-closure drain
-      result.completed_batches = completed;
-      result.root = true;
-    }
+    lock.Finish(result);
+    if (me == 0) root_outputs = collected;  // final after Execute's drain
   });
 
   if (root_outputs) {

@@ -19,6 +19,7 @@
 
 #include "common/hash.hpp"
 #include "common/time_util.hpp"
+#include "harness/count_workload.hpp"
 #include "harness/report.hpp"
 #include "megaphone/megaphone.hpp"
 #include "timely/timely.hpp"
@@ -44,12 +45,9 @@ constexpr uint64_t kSteadyDomain = 1 << 16;  // distinct keys, power of two
 
 inline SteadyResult RunSteadyThroughput(const SteadyConfig& cfg) {
   using T = uint64_t;
-  using timely::OpCtx;
   using timely::Scope;
   using timely::Worker;
 
-  const int log_domain = 63 - __builtin_clzll(kSteadyDomain);
-  const uint64_t keys_per_bin = kSteadyDomain / cfg.num_bins;
   // Keys are pre-generated per worker and timing starts once every worker
   // is ready to inject, so the measurement covers the dataflow, not the
   // load generator.
@@ -67,39 +65,14 @@ inline SteadyResult RunSteadyThroughput(const SteadyConfig& cfg) {
       auto [data_in, data_stream] = timely::NewInput<uint64_t>(s);
       timely::ProbeHandle<T> probe;
       if (cfg.use_megaphone) {
-        using DenseBin = state::DenseState<uint64_t>;
         Config mcfg;
         mcfg.num_bins = cfg.num_bins;
         mcfg.name = "SteadyCount";
-        const int shift = 64 - log_domain;
-        const uint64_t slot_mask = keys_per_bin - 1;
-        auto out = Unary<DenseBin, uint64_t>(
-            ctrl_stream, data_stream,
-            [shift](const uint64_t& k) { return k << shift; },
-            [keys_per_bin, slot_mask](const T&, DenseBin& state,
-                                      std::vector<uint64_t>& recs, auto,
-                                      auto&) {
-              if (state.empty()) state.resize(keys_per_bin);
-              for (uint64_t k : recs) state[k & slot_mask]++;
-            },
-            mcfg);
-        probe = out.probe;
+        probe = detail::KeyCount(ctrl_stream, data_stream, kSteadyDomain, mcfg)
+                    .probe;
       } else {
-        struct State {
-          std::vector<uint64_t> counts;
-        };
-        const uint32_t workers = s.peers();
-        auto out = timely::StatefulUnary<State, uint64_t>(
-            data_stream, "NativeCount",
-            [](const uint64_t& k) { return k; },  // worker = key % W
-            [workers](const T&, std::vector<uint64_t>& recs, State& state,
-                      OpCtx<T>&, timely::OutputHandle<uint64_t, T>&) {
-              if (state.counts.empty()) {
-                state.counts.resize(kSteadyDomain / workers + 1);
-              }
-              for (uint64_t k : recs) state.counts[k / workers]++;
-            });
-        probe = timely::Probe(out);
+        probe = timely::Probe(
+            detail::NativeKeyCount(data_stream, kSteadyDomain, "NativeCount"));
       }
       return Handles{ctrl_in, data_in, probe};
     });

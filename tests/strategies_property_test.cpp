@@ -5,9 +5,10 @@
 //
 // Plus the end-to-end property of the chunked state path: for RANDOM
 // migration schedules (random strategies, epochs, and target
-// assignments), the deterministic count workload must produce
-// byte-identical output digests at every --chunk-bytes setting —
-// monolithic and chunked, single-process and across a 2-process TCP mesh.
+// assignments), the deterministic count and NEXMark Q3 workloads must
+// complete every batch the schedule plans and produce byte-identical
+// output digests at every --chunk-bytes setting — monolithic and chunked,
+// single-process and across a 2-process TCP mesh.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -25,6 +26,7 @@
 #include "common/rng.hpp"
 #include "harness/harness.hpp"
 #include "harness/launcher.hpp"
+#include "harness/nexmark_workload.hpp"
 #include "megaphone/strategies.hpp"
 
 namespace megaphone {
@@ -185,6 +187,20 @@ std::vector<std::pair<uint64_t, Assignment>> RandomSchedule(
   return schedule;
 }
 
+/// The batches `cfg.schedule` plans under its strategy, all of which have
+/// completed once a deterministic run returns.
+size_t PlannedBatches(const DetRunConfig& cfg) {
+  Assignment current = MakeInitialAssignment(cfg.num_bins, cfg.total_workers);
+  size_t n = 0;
+  for (const auto& [epoch, to] : cfg.schedule) {
+    n += PlanBatches(cfg.strategy, DiffAssignments(current, to), current,
+                     cfg.batch_size)
+             .size();
+    current = to;
+  }
+  return n;
+}
+
 DetCountConfig RandomScheduleConfig(Xoshiro256& rng) {
   DetCountConfig cfg;
   cfg.total_workers = 4;
@@ -210,6 +226,7 @@ TEST(StrategiesProperty, ChunkedDigestsMatchMonolithicUnderRandomSchedules) {
     DetCountResult ref = RunDeterministicCount(cfg, single);
     ASSERT_TRUE(ref.root);
     ASSERT_FALSE(ref.digest.empty());
+    EXPECT_EQ(ref.completed_batches, PlannedBatches(cfg));
 
     for (uint64_t chunk_bytes : {48ull, 256ull, 4096ull}) {
       DetCountConfig chunked = cfg;
@@ -292,6 +309,87 @@ TEST(StrategiesProperty, ChunkedDigestsMatchAcrossTwoProcesses) {
   ASSERT_TRUE(dist.root);
   EXPECT_EQ(dist.digest, ref.digest)
       << "distributed chunked run diverged from monolithic reference";
+  EXPECT_EQ(dist.completed_batches, ref.completed_batches);
+}
+
+// Q3 joins the matrix: its join state (two MapStates per bin, fed by two
+// inputs) migrates under the same random schedules. Every planned batch
+// must complete, the outputs must equal a run without migration, and the
+// chunked run must reproduce the monolithic run byte for byte.
+DetNexmarkConfig RandomScheduleQ3Config(Xoshiro256& rng) {
+  DetNexmarkConfig cfg;
+  cfg.total_workers = 4;
+  cfg.num_bins = 32;
+  cfg.events_per_epoch = 2000;
+  cfg.epochs = 6;
+  cfg.strategy = kScheduleStrategies[rng.NextBelow(4)];
+  cfg.batch_size = 1 + rng.NextBelow(8);
+  cfg.schedule =
+      RandomSchedule(rng, cfg.num_bins, cfg.total_workers, cfg.epochs);
+  return cfg;
+}
+
+TEST(StrategiesProperty, Q3ChunkedDigestsMatchMonolithicUnderRandomSchedules) {
+  Xoshiro256 rng(37);
+  timely::Config single;
+  single.workers = 4;
+  for (int round = 0; round < 3; ++round) {
+    DetNexmarkConfig cfg = RandomScheduleQ3Config(rng);
+    DetNexmarkConfig unmoved = cfg;
+    unmoved.schedule.clear();
+    unmoved.migrate_at_epoch = unmoved.epochs;  // no migration at all
+    DetNexmarkResult still = RunDeterministicNexmarkQ3(unmoved, single);
+    ASSERT_TRUE(still.root);
+    ASSERT_GT(still.outputs, 0u) << "Q3 never joined";
+    EXPECT_EQ(still.completed_batches, 0u);
+
+    cfg.chunk_bytes = 0;  // monolithic reference
+    const uint64_t frames0 = chunk_counters().frames.load();
+    DetNexmarkResult ref = RunDeterministicNexmarkQ3(cfg, single);
+    ASSERT_TRUE(ref.root);
+    EXPECT_EQ(ref.completed_batches, PlannedBatches(cfg));
+    EXPECT_EQ(ref.digest, still.digest)
+        << "round " << round << ": migration changed Q3's outputs";
+
+    DetNexmarkConfig chunked = cfg;
+    chunked.chunk_bytes = 256;
+    chunked.chunk_bytes_per_step = 512;
+    const uint64_t frames1 = chunk_counters().frames.load();
+    DetNexmarkResult r = RunDeterministicNexmarkQ3(chunked, single);
+    ASSERT_TRUE(r.root);
+    // The bound really split bins: more frames than one per moved bin.
+    EXPECT_GT(chunk_counters().frames.load() - frames1, frames1 - frames0);
+    EXPECT_EQ(r.outputs, ref.outputs);
+    EXPECT_EQ(r.digest, ref.digest)
+        << "round " << round << " strategy " << StrategyName(cfg.strategy);
+    EXPECT_EQ(r.completed_batches, ref.completed_batches);
+  }
+}
+
+TEST(StrategiesProperty, Q3ChunkedDigestsMatchAcrossTwoProcesses) {
+  Xoshiro256 rng(39);
+  DetNexmarkConfig cfg = RandomScheduleQ3Config(rng);
+
+  timely::Config single;
+  single.workers = 4;
+  cfg.chunk_bytes = 0;
+  DetNexmarkResult ref = RunDeterministicNexmarkQ3(cfg, single);
+  ASSERT_TRUE(ref.root);
+
+  cfg.chunk_bytes = 256;
+  cfg.chunk_bytes_per_step = 512;
+  MultiProcess mp = LaunchLoopbackProcesses(/*processes=*/2,
+                                            /*workers_per_process=*/2);
+  if (!mp.IsRoot()) {
+    RunDeterministicNexmarkQ3(cfg, mp.config);
+    _exit(0);
+  }
+  DetNexmarkResult dist = RunDeterministicNexmarkQ3(cfg, mp.config);
+  EXPECT_EQ(WaitForChildren(mp.children), 0) << "peer process failed";
+  ASSERT_TRUE(dist.root);
+  EXPECT_EQ(dist.outputs, ref.outputs);
+  EXPECT_EQ(dist.digest, ref.digest)
+      << "distributed chunked Q3 diverged from monolithic reference";
   EXPECT_EQ(dist.completed_batches, ref.completed_batches);
 }
 
