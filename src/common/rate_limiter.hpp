@@ -58,10 +58,13 @@ class ByteThrottle {
   /// Returns true if `n` bytes may be sent at time `now_nanos`; on success
   /// the tokens are consumed. The bucket holds at most one second of credit
   /// and starts full, so a burst up to `bytes_per_sec` passes immediately.
+  /// A send larger than one second of credit passes once the bucket is
+  /// full and leaves a debt that later sends wait out, so no size wedges.
   bool Admit(uint64_t n, uint64_t now_nanos) {
     if (bytes_per_sec_ == 0) return true;
     Refill(now_nanos);
-    if (tokens_ >= static_cast<double>(n)) {
+    double need = static_cast<double>(std::min(n, bytes_per_sec_));
+    if (tokens_ >= need) {
       tokens_ -= static_cast<double>(n);
       return true;
     }

@@ -707,10 +707,10 @@ inline void RunFig20(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
   base.chunk_bytes_per_step = ChunkStepBytesFromFlags(flags);
 
   std::printf("# Figure 20: RSS over time; domain=%llu (~%llu MB state), "
-              "state_bw=%llu MB/s\n",
+              "state_bw=%llu B/s\n",
               static_cast<unsigned long long>(base.domain),
               static_cast<unsigned long long>(base.domain * 8 >> 20),
-              static_cast<unsigned long long>(base.state_bytes_per_sec >> 20));
+              static_cast<unsigned long long>(base.state_bytes_per_sec));
 
   j.Key("config").BeginObject();
   j.Key("workload").Value("key-count");
@@ -1086,7 +1086,6 @@ inline void RunFig25(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
     dc.migrate_at_epoch = 2;
     dc.strategy = MigrationStrategy::kFluid;
     dc.chunk_bytes = 4096;
-    dc.chunk_bytes_per_step = 16384;
     timely::Config single;
     single.workers = dc.total_workers;
     DetCountResult ref = RunDeterministicCount(dc, single);
@@ -1322,6 +1321,9 @@ inline void BenchDriverUsage() {
       "                    single-frame migration (fig 22 default 64K)\n"
       "  --chunk-step-bytes=N  per-step chunk flow-control budget\n"
       "                    (default 4x chunk-bytes)\n"
+      "  --state_bw=B      fig 20: state-channel bandwidth in bytes/s\n"
+      "                    per sending worker (default 64 MiB/s;\n"
+      "                    0 = unthrottled)\n"
       "  --out=PATH        merged JSON report path\n"
       "                    (default megabench_figN.json)\n"
       "  --process-index=I manual multi-process mode (no fork); every\n"

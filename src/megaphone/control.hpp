@@ -16,7 +16,9 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/rate_limiter.hpp"
 #include "common/serde.hpp"
+#include "common/time_util.hpp"
 #include "timely/antichain.hpp"
 #include "timely/operator.hpp"
 
@@ -226,13 +228,19 @@ class RoutingTable {
 };
 
 /// Operator F's control-plane state: buffered (not yet final) updates, the
-/// routing table, and the queue of migrations this worker must perform.
+/// routing table, the queue of migrations this worker must perform, and the
+/// queue of chunk frames waiting for the state channel's bandwidth.
 /// Shared by the unary and binary Megaphone operators.
 template <typename T>
 class ControlState {
  public:
-  ControlState(uint32_t num_bins, uint32_t workers, uint32_t my_worker)
-      : routing_(num_bins, workers), me_(my_worker) {}
+  /// `state_bytes_per_sec` models the state channel's bandwidth (0 =
+  /// unthrottled); see FlushChunks.
+  ControlState(uint32_t num_bins, uint32_t workers, uint32_t my_worker,
+               uint64_t state_bytes_per_sec)
+      : routing_(num_bins, workers),
+        me_(my_worker),
+        throttle_(state_bytes_per_sec) {}
 
   RoutingTable<T>& routing() { return routing_; }
   const RoutingTable<T>& routing() const { return routing_; }
@@ -307,19 +315,24 @@ class ControlState {
   }
 
   /// Emits queued chunk frames in FIFO order, at most ~`budget_bytes` of
-  /// wire payload per call (0 = unbounded); at least one frame goes out
-  /// whenever any is queued, so progress never stalls on a budget smaller
-  /// than a frame. Called once per worker step, this is the flow control
-  /// that interleaves state movement with data processing.
+  /// wire payload per call (0 = unbounded) and no faster than the state
+  /// channel's bandwidth. The per-step budget always lets the first frame
+  /// go, so progress never stalls on a budget smaller than a frame; the
+  /// bandwidth's token bucket admits even a frame larger than its one
+  /// second of credit once it is full. Called once per worker step, this
+  /// is the flow control that interleaves state movement with data
+  /// processing; frames held back wait here, as sender-side memory.
   template <typename SendFn>
   bool FlushChunks(timely::OpCtx<T>& ctx, uint64_t budget_bytes,
                    SendFn send) {
     bool any = false;
     uint64_t sent = 0;
+    const uint64_t now = outgoing_.empty() ? 0 : NowNanos();
     while (!outgoing_.empty()) {
       OutgoingChunk& oc = outgoing_.front();
       uint64_t size = oc.frame.WireSize();
       if (any && budget_bytes != 0 && sent + size > budget_bytes) break;
+      if (!throttle_.Admit(size, now)) break;
       T t = oc.t;
       bool release = oc.release_after;
       send(t, std::move(oc.frame));
@@ -352,6 +365,7 @@ class ControlState {
   std::map<T, std::vector<ControlInst>> pending_;
   std::map<T, std::vector<std::pair<BinId, uint32_t>>> migrations_;
   std::deque<OutgoingChunk> outgoing_;
+  ByteThrottle throttle_;
 };
 
 }  // namespace megaphone

@@ -16,8 +16,9 @@
 //     channel. With Config::chunk_bytes set, the bin leaves as a sequence
 //     of size-bounded BinChunk frames metered out across worker steps
 //     under Config::chunk_bytes_per_step (flow control), interleaved with
-//     data processing; F keeps its capability at t until the last frame
-//     has gone out, so the frontier argument is unchanged.
+//     data processing. Config::state_bytes_per_sec paces the same queue
+//     at the state channel's bandwidth. F keeps its capability at t until
+//     the last frame has gone out, so the frontier argument is unchanged.
 //
 //   * S hosts the bins (LaneBin: the state plus one pending map per lane).
 //     It installs received state immediately — chunked state
@@ -71,8 +72,9 @@ struct Config {
   /// Number of bins; must be a power of two, fixed at construction
   /// (paper §4.2). 2^12 is the paper's sweet spot.
   uint32_t num_bins = 256;
-  /// Byte throttle on the state channel, modelling network bandwidth
-  /// (0 = unthrottled). See DESIGN.md substitutions.
+  /// State-channel bandwidth in bytes per second (0 = unthrottled): each
+  /// worker's F emits its queued chunk frames no faster than this, next
+  /// to the per-step budget. See DESIGN.md substitutions.
   uint64_t state_bytes_per_sec = 0;
   /// Maximum payload bytes per state chunk frame. 0 = monolithic: each
   /// migrating bin ships as one frame, the pre-chunking behavior. With a
@@ -387,15 +389,12 @@ StatefulOutput<R, T> StatefulCore(timely::Stream<ControlInst, T> control,
   std::tuple<RoutedPort<typename Lanes::Record, T>...> routed{
       fb.template AddOutput<Routed<typename Lanes::Record>>()...};
   auto [state_out, state_stream] = fb.template AddOutput<BinChunk>();
-  if (cfg.state_bytes_per_sec != 0) {
-    state_out->SetThrottle(cfg.state_bytes_per_sec,
-                           [](const BinChunk& m) { return m.WireSize(); });
-  }
   std::tuple keys{lanes.key...};
 
   struct FState {
-    FState(uint32_t bins, uint32_t workers, uint32_t me)
-        : cs(bins, workers, me),
+    FState(uint32_t bins, uint32_t workers, uint32_t me,
+           uint64_t state_bytes_per_sec)
+        : cs(bins, workers, me, state_bytes_per_sec),
           route_scratch(std::vector<std::vector<
                             Routed<typename Lanes::Record>>>(workers)...) {}
     ControlState<T> cs;
@@ -405,7 +404,8 @@ StatefulOutput<R, T> StatefulCore(timely::Stream<ControlInst, T> control,
         route_scratch;
     uint64_t steps = 0;
   };
-  auto fs = std::make_shared<FState>(num_bins, scope.peers(), scope.worker());
+  auto fs = std::make_shared<FState>(num_bins, scope.peers(), scope.worker(),
+                                     cfg.state_bytes_per_sec);
   if (!cfg.initial_owner.empty()) {
     fs->cs.routing().ResetInitial(cfg.initial_owner);
   }
@@ -490,8 +490,9 @@ StatefulOutput<R, T> StatefulCore(timely::Stream<ControlInst, T> control,
     // 5. Initiate migrations whose time has been reached by the S output
     //    frontier: every record before that time has been applied. The
     //    extracted bins become queued chunk frames; the flush below meters
-    //    them onto the state channel under the per-step byte budget, so a
-    //    large bin never stalls a worker step for its full size.
+    //    them onto the state channel under the per-step byte budget and
+    //    the channel's bandwidth, so a large bin never stalls a worker
+    //    step for its full size.
     fs->cs.RunReadyMigrations(
         ctx,
         [&](const T& t) {

@@ -26,7 +26,7 @@ class NodeBase {
 };
 
 /// Anything with buffered output that must be flushed at step end (output
-/// handles, throttled senders).
+/// handles).
 class Flushable {
  public:
   virtual ~Flushable() = default;

@@ -26,15 +26,12 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/rate_limiter.hpp"
-#include "common/time_util.hpp"
 #include "timely/channel.hpp"
 #include "timely/node.hpp"
 #include "timely/stream.hpp"
@@ -117,19 +114,14 @@ class StepFlushable : public Flushable {
   /// Moves full buffers into the staging area; appends their produced
   /// counts to `changes`. Returns true if anything was staged.
   virtual bool StageFlush(std::vector<Change<T>>& changes) = 0;
-  /// Publishes staged bundles to their channels (and drains any byte
-  /// throttle). Must be called after `changes` has been applied.
+  /// Publishes staged bundles to their channels. Must be called after
+  /// `changes` has been applied.
   virtual bool CommitFlush() = 0;
 };
 
 /// Typed output port handle. Owns per-channel, per-target buffers; flushing
 /// a buffer first applies the `produced` count to the progress tracker and
 /// only then makes the bundle visible in the channel (the safety order).
-///
-/// An optional byte throttle models network bandwidth: flushed bundles are
-/// counted immediately (they occupy sender memory, as serialized state does
-/// in the paper's Fig. 20) but enter the channel only as the token bucket
-/// admits them.
 template <typename D, typename T>
 class OutputHandle final : public StepFlushable<T> {
  public:
@@ -144,14 +136,6 @@ class OutputHandle final : public StepFlushable<T> {
     attachments_.push_back(Attachment{std::move(chan), std::move(pact),
                                       dst_loc,
                                       std::vector<Bundle<D, T>>(peers_)});
-  }
-
-  /// Enables byte throttling (bytes_per_sec == 0 disables). `size_of`
-  /// estimates the wire size of one record.
-  void SetThrottle(uint64_t bytes_per_sec,
-                   std::function<size_t(const D&)> size_of) {
-    throttle_.emplace(bytes_per_sec);
-    size_of_ = std::move(size_of);
   }
 
   void Send(const T& time, D item) {
@@ -187,23 +171,7 @@ class OutputHandle final : public StepFlushable<T> {
     if (items.empty()) return;
     DebugCheckMaySend(time);
     MEGA_DCHECK(attachments_.size() == 1);
-    Attachment& att = attachments_[0];
-    if (throttle_) {
-      if (!att.buffers[target].data.empty()) FlushBuffer(att, target);
-      tracker_->ApplyOne(att.dst_loc, time,
-                         static_cast<int64_t>(items.size()));
-      Bundle<D, T> bundle;
-      bundle.time = time;
-      bundle.data = std::move(items);
-      items = att.chan->AcquireBuffer(worker_);
-      size_t bytes = 0;
-      for (const auto& d : bundle.data) bytes += size_of_(d);
-      pending_bytes_ += bytes;
-      pending_.push_back(PendingBundle{0, target, bytes, std::move(bundle)});
-      DrainPending();
-    } else {
-      AdoptAsBundle(att, target, time, items);
-    }
+    AdoptAsBundle(attachments_[0], target, time, items);
   }
 
   /// Immediate flush (input handles, step-external senders): stage, apply
@@ -258,12 +226,8 @@ class OutputHandle final : public StepFlushable<T> {
       i = j;
     }
     staged_.clear();
-    any |= DrainPending();
     return any;
   }
-
-  /// Bytes currently held by the throttle queue (sender-side memory).
-  size_t PendingThrottledBytes() const { return pending_bytes_; }
 
  private:
   struct Attachment {
@@ -315,7 +279,7 @@ class OutputHandle final : public StepFlushable<T> {
                              std::vector<D>& items, bool may_move) {
     switch (att.pact.kind) {
       case Pact<D>::Kind::kPipeline:
-        if (may_move && !throttle_ && items.size() >= kScatterMin) {
+        if (may_move && items.size() >= kScatterMin) {
           AdoptAsBundle(att, worker_, time, items);
         } else {
           AppendRange(att, worker_, time, items, may_move);
@@ -331,7 +295,7 @@ class OutputHandle final : public StepFlushable<T> {
         targets_scratch_.resize(items.size());
         att.pact.batch_targets(items.data(), items.size(), peers_,
                                targets_scratch_.data());
-        if (may_move && !throttle_ && items.size() >= kScatterMin) {
+        if (may_move && items.size() >= kScatterMin) {
           ScatterAdopt(att, time, items);
           break;
         }
@@ -487,8 +451,7 @@ class OutputHandle final : public StepFlushable<T> {
 
   /// Moves a full buffer out as a bundle: the produced count goes into
   /// `changes` (applied before the bundle becomes visible), the bundle
-  /// into the staging area — or the throttle queue, which counts
-  /// production immediately as well.
+  /// into the staging area.
   void StageBuffer(Attachment& att, uint32_t target,
                    std::vector<Change<T>>& changes) {
     auto& buf = att.buffers[target];
@@ -499,15 +462,7 @@ class OutputHandle final : public StepFlushable<T> {
     bundle.data = std::move(buf.data);
     buf.data.clear();
     size_t att_idx = static_cast<size_t>(&att - attachments_.data());
-    if (!throttle_) {
-      staged_.push_back(StagedBundle{att_idx, target, std::move(bundle)});
-    } else {
-      size_t bytes = 0;
-      for (const auto& d : bundle.data) bytes += size_of_(d);
-      pending_bytes_ += bytes;
-      pending_.push_back(PendingBundle{att_idx, target, bytes,
-                                       std::move(bundle)});
-    }
+    staged_.push_back(StagedBundle{att_idx, target, std::move(bundle)});
   }
 
   /// Immediate flush of one buffer (mid-step bundle boundary): count
@@ -522,44 +477,12 @@ class OutputHandle final : public StepFlushable<T> {
     bundle.time = buf.time;
     bundle.data = std::move(buf.data);
     buf.data.clear();
-    if (!throttle_) {
-      att.chan->Push(target, std::move(bundle));
-    } else {
-      size_t bytes = 0;
-      for (const auto& d : bundle.data) bytes += size_of_(d);
-      pending_bytes_ += bytes;
-      size_t att_idx = static_cast<size_t>(&att - attachments_.data());
-      pending_.push_back(PendingBundle{att_idx, target, bytes,
-                                       std::move(bundle)});
-      DrainPending();
-    }
-  }
-
-  bool DrainPending() {
-    if (!throttle_) return false;
-    bool any = false;
-    uint64_t now = megaphone::NowNanos();
-    while (!pending_.empty() &&
-           throttle_->Admit(pending_.front().bytes, now)) {
-      auto& p = pending_.front();
-      pending_bytes_ -= p.bytes;
-      attachments_[p.att_idx].chan->Push(p.target, std::move(p.bundle));
-      pending_.pop_front();
-      any = true;
-    }
-    return any;
+    att.chan->Push(target, std::move(bundle));
   }
 
   struct StagedBundle {
     size_t att_idx;
     uint32_t target;
-    Bundle<D, T> bundle;
-  };
-
-  struct PendingBundle {
-    size_t att_idx;
-    uint32_t target;
-    size_t bytes;
     Bundle<D, T> bundle;
   };
 
@@ -573,10 +496,6 @@ class OutputHandle final : public StepFlushable<T> {
   std::vector<StagedBundle> staged_;
   std::deque<Bundle<D, T>> commit_scratch_;
   std::vector<Change<T>> flush_scratch_;
-  std::optional<megaphone::ByteThrottle> throttle_;
-  std::function<size_t(const D&)> size_of_;
-  std::deque<PendingBundle> pending_;
-  size_t pending_bytes_ = 0;
 };
 
 /// Typed input port handle: drains queued bundles and exposes the port's

@@ -247,5 +247,24 @@ TEST(Throttle, CreditCapsAtOneSecond) {
   EXPECT_FALSE(t.Admit(500, now));  // cap was 1s worth, not 60s
 }
 
+TEST(Throttle, OversizedSendPassesOnFullBucketAndLeavesDebt) {
+  // A send larger than one second of credit can never be covered by the
+  // bucket; it goes out once the bucket is full, and the overdraft is a
+  // debt that later sends wait out.
+  ByteThrottle t(1000);
+  uint64_t now = 1;
+  EXPECT_TRUE(t.Admit(2500, now));  // full bucket: 1000 - 2500 = -1500
+  EXPECT_FALSE(t.Admit(1, now));
+  now += 1'200'000'000;             // +1.2s -> -300
+  EXPECT_FALSE(t.Admit(1, now));
+  now += 600'000'000;               // +0.6s -> +300
+  EXPECT_TRUE(t.Admit(200, now));   // -> +100
+  now += 500'000'000;               // +0.5s -> +600: not full
+  EXPECT_FALSE(t.Admit(2500, now));
+  now += 500'000'000;               // +0.5s -> full again
+  EXPECT_TRUE(t.Admit(2500, now));
+  EXPECT_FALSE(t.Admit(1, now));
+}
+
 }  // namespace
 }  // namespace megaphone

@@ -13,12 +13,14 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "common/hash.hpp"
+#include "common/time_util.hpp"
 #include "megaphone/megaphone.hpp"
 #include "timely/timely.hpp"
 
@@ -633,6 +635,126 @@ TEST(Megaphone, ThrottledStateChannelStillCorrect) {
   });
   std::sort(rows.begin(), rows.end());
   EXPECT_EQ(rows, ReferenceCounts(seed, epochs, recs, keys));
+}
+
+/// A throttled all-at-once migration: two workers, four dense bins of
+/// 4 KiB each. At epoch 4 both of worker 0's bins move to worker 1, so a
+/// single F sends every migrating byte through its token bucket.
+struct ThrottledRun {
+  std::vector<Row> rows;
+  uint64_t frames = 0;  // state frames sent
+  uint64_t bytes = 0;   // their wire bytes
+  double seconds = 0;   // worker 0: from issuing the migration to the end
+};
+
+ThrottledRun RunThrottledMigration(uint64_t bytes_per_sec,
+                                   uint64_t chunk_bytes) {
+  const uint32_t workers = 2, bins = 4;
+  const uint64_t epochs = 8, recs = 256, keys = 2048, seed = 31;
+  const uint64_t migrate_at = 4;
+  const uint64_t keys_per_bin = keys / bins;
+  const int shift = 64 - 11;  // keys == 2^11: a key's high bits are its bin
+  // Stepping stops here: a wedged migration throws on every worker instead
+  // of hanging the drain, so the test fails rather than timing out.
+  const uint64_t deadline = NowNanos() + 30'000'000'000ull;
+  const uint64_t frames_before = chunk_counters().frames.load();
+  const uint64_t bytes_before = chunk_counters().bytes.load();
+  ThrottledRun run;
+  std::mutex mu;
+  Execute(timely::Config{workers}, [&](Worker& w) {
+    auto handles = w.Dataflow<uint64_t>([&](Scope<uint64_t>& s) {
+      auto [ctrl_in, ctrl_stream] = NewInput<ControlInst>(s);
+      auto [data_in, data_stream] = NewInput<uint64_t>(s);
+      Config cfg;
+      cfg.num_bins = bins;
+      cfg.state_bytes_per_sec = bytes_per_sec;
+      cfg.chunk_bytes = chunk_bytes;
+      using DenseBin = state::DenseState<uint64_t>;
+      auto out = Unary<DenseBin, std::pair<uint64_t, uint64_t>>(
+          ctrl_stream, data_stream,
+          [shift](const uint64_t& k) { return k << shift; },
+          [keys_per_bin](const uint64_t&, DenseBin& state,
+                         std::vector<uint64_t>& recs, auto emit, auto&) {
+            if (state.empty()) state.resize(keys_per_bin);
+            for (uint64_t k : recs) {
+              emit(std::make_pair(k, ++state[k % keys_per_bin]));
+            }
+          },
+          cfg);
+      Sink(out.stream,
+           [&](const uint64_t& t,
+               std::vector<std::pair<uint64_t, uint64_t>>& data) {
+             std::lock_guard<std::mutex> lock(mu);
+             for (auto& [k, c] : data) run.rows.push_back(Row{t, k, c});
+           });
+      return std::make_tuple(ctrl_in, data_in, out.probe);
+    });
+    auto& [ctrl_in, data_in, probe] = handles;
+    typename MigrationController<uint64_t>::Options opts;
+    opts.strategy = MigrationStrategy::kAllAtOnce;
+    MigrationController<uint64_t> controller(ctrl_in, probe, w.index(), opts);
+    uint64_t start = 0;
+    for (uint64_t e = 0; e < epochs; ++e) {
+      if (e == migrate_at) {
+        start = NowNanos();
+        controller.MigrateTo(MakeInitialAssignment(bins, workers),
+                             Assignment(bins, 1));
+      }
+      controller.Advance(e, e + 1);
+      for (uint64_t i = 0; i < recs; ++i) {
+        if (i % workers == w.index()) {
+          data_in->Send(GenKey(seed, e, i, keys));
+        }
+      }
+      data_in->AdvanceTo(e + 1);
+      w.Step();
+    }
+    controller.Close(epochs);
+    data_in->Close();
+    while (!probe.Done()) {
+      if (NowNanos() > deadline) {
+        throw std::runtime_error("step deadline passed: migration wedged");
+      }
+      w.Step();
+    }
+    if (w.index() == 0) {
+      std::lock_guard<std::mutex> lock(mu);
+      run.seconds = static_cast<double>(NowNanos() - start) * 1e-9;
+    }
+  });
+  std::sort(run.rows.begin(), run.rows.end());
+  run.frames = chunk_counters().frames.load() - frames_before;
+  run.bytes = chunk_counters().bytes.load() - bytes_before;
+  EXPECT_EQ(run.rows, ReferenceCounts(seed, epochs, recs, keys));
+  return run;
+}
+
+TEST(Megaphone, MonolithicFrameLargerThanBandwidthStillMigrates) {
+  // Each bin ships as one frame bigger than a second of bandwidth. The
+  // first goes out on the full bucket and leaves a debt; the second waits
+  // the debt out. Neither may wedge the migration.
+  const uint64_t rate = 3000;
+  ThrottledRun run;
+  try {
+    run = RunThrottledMigration(rate, /*chunk_bytes=*/0);
+  } catch (const std::exception& e) {
+    FAIL() << e.what();
+  }
+  ASSERT_EQ(run.frames, 2u);
+  EXPECT_GT(run.bytes / run.frames, rate) << "a bin must exceed the rate";
+}
+
+TEST(Megaphone, ThrottledMigrationTakesAtLeastItsBytesOverRate) {
+  // Frames far below the rate: the bucket's initial full second of credit
+  // covers `rate` bytes, the rest leave no faster than `rate` bytes/s.
+  // Only the lower bound is checked; a loaded machine only adds time.
+  const uint64_t rate = 4096;
+  ThrottledRun run = RunThrottledMigration(rate, /*chunk_bytes=*/512);
+  ASSERT_GT(run.bytes, rate);
+  const double floor_s =
+      static_cast<double>(run.bytes - rate) / static_cast<double>(rate);
+  EXPECT_GE(run.seconds, floor_s)
+      << run.bytes << " bytes in " << run.frames << " frames";
 }
 
 TEST(Megaphone, PreparedAheadBatchesOverlapUnderChunkedMigration) {

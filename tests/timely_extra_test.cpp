@@ -70,36 +70,6 @@ TEST(TimelyExtra, RoutePactDeliversToNamedWorker) {
   EXPECT_TRUE(seen[3].empty());
 }
 
-TEST(TimelyExtra, ThrottledOutputDelaysButDeliversAll) {
-  // A throttled output handle models network bandwidth: everything still
-  // arrives, and sender-side pending bytes eventually drain.
-  std::atomic<uint64_t> received{0};
-  Execute(Config{1}, [&](Worker& w) {
-    auto handles = w.Dataflow<uint64_t>([&](Scope<uint64_t>& s) {
-      auto [in, stream] = NewInput<uint64_t>(s);
-      OperatorBuilder<uint64_t> b(s, "Throttled");
-      auto* h = b.AddInput(stream, Pact<uint64_t>::Pipeline());
-      auto [out, out_stream] = b.AddOutput<uint64_t>();
-      out->SetThrottle(64 * 1024,  // 64 KiB/s
-                       [](const uint64_t&) { return size_t{1024}; });
-      b.Build([h, out](OpCtx<uint64_t>&) {
-        h->ForEach([&](const uint64_t& t, std::vector<uint64_t>& d) {
-          out->SendBatch(t, std::move(d));
-        });
-      });
-      Sink(out_stream, [&](const uint64_t&, std::vector<uint64_t>& d) {
-        received += d.size();
-      });
-      return std::make_pair(in, Probe(out_stream));
-    });
-    auto& [input, probe] = handles;
-    for (uint64_t i = 0; i < 64; ++i) input->Send(i);  // 64 KiB of "bytes"
-    input->Close();
-    w.StepUntil([&] { return probe.Done(); });
-  });
-  EXPECT_EQ(received.load(), 64u);
-}
-
 TEST(TimelyExtra, FrontiersAreMonotone) {
   // Property: the frontier an operator observes never regresses.
   std::atomic<bool> regressed{false};
