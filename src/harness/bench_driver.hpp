@@ -707,7 +707,7 @@ inline void RunFig20(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
   base.chunk_bytes_per_step = ChunkStepBytesFromFlags(flags);
 
   std::printf("# Figure 20: RSS over time; domain=%llu (~%llu MB state), "
-              "state_bw=%llu B/s\n",
+              "state_bw=%llu B/s per sending worker\n",
               static_cast<unsigned long long>(base.domain),
               static_cast<unsigned long long>(base.domain * 8 >> 20),
               static_cast<unsigned long long>(base.state_bytes_per_sec));
@@ -1321,8 +1321,9 @@ inline void BenchDriverUsage() {
       "                    single-frame migration (fig 22 default 64K)\n"
       "  --chunk-step-bytes=N  per-step chunk flow-control budget\n"
       "                    (default 4x chunk-bytes)\n"
-      "  --state_bw=B      fig 20: state-channel bandwidth in bytes/s\n"
-      "                    per sending worker (default 64 MiB/s;\n"
+      "  --state_bw=B      fig 20: state-channel budget in bytes/s per\n"
+      "                    sending worker, not per link: S senders\n"
+      "                    move up to S x B bytes/s (default 64 MiB/s;\n"
       "                    0 = unthrottled)\n"
       "  --out=PATH        merged JSON report path\n"
       "                    (default megabench_figN.json)\n"

@@ -51,6 +51,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -317,6 +318,16 @@ class NetMesh final : public timely::NetRuntime {
     return p->queued_bytes;
   }
 
+  /// Frames of `kind` this process has handed to its links, summed over
+  /// peers (a broadcast counts once per peer). Counted when a frame is
+  /// queued — or, for heartbeats and goodbyes, written — so a caller sees
+  /// its own sends at once; retransmissions are not counted again.
+  uint64_t FramesSent(FrameKind kind) const {
+    auto k = static_cast<size_t>(kind);
+    MEGA_CHECK_LT(k, frames_sent_.size());
+    return frames_sent_[k].load(std::memory_order_relaxed);
+  }
+
  private:
   /// Cumulative-ack cadence: one explicit ack per this many delivered
   /// frames (heartbeats carry acks on idle links, and the goodbye
@@ -435,6 +446,7 @@ class NetMesh final : public timely::NetRuntime {
     MEGA_CHECK(!p.closing) << "send to peer " << p.process
                            << " after Shutdown";
     if (IsSequencedKind(frame.h.kind)) frame.h.seq = p.next_seq++;
+    CountSent(frame.h.kind);
     p.queued_bytes += frame.size();
     p.queue.push_back(std::move(frame));
     p.cv_pop.notify_one();
@@ -447,10 +459,15 @@ class NetMesh final : public timely::NetRuntime {
     {
       std::lock_guard<std::mutex> lock(p.mu);
       if (p.dead.load(std::memory_order_relaxed)) return;
+      CountSent(frame.h.kind);
       p.queued_bytes += frame.size();
       p.queue.push_back(std::move(frame));
     }
     p.cv_pop.notify_one();
+  }
+
+  void CountSent(uint32_t kind) {
+    frames_sent_[kind].fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Cumulative ack from the peer: prune the retransmit buffer and wake
@@ -599,6 +616,7 @@ class NetMesh final : public timely::NetRuntime {
         case Next::kGoodbye: {
           OutFrame bye =
               MakeOutFrame(FrameKind::kGoodbye, 0, final_seq, {});
+          CountSent(bye.h.kind);
           if (!WriteFrame(p, bye)) {
             MarkPeerDown(p, "goodbye write failed");
             return;
@@ -612,6 +630,7 @@ class NetMesh final : public timely::NetRuntime {
           body.ack = p.expected_in.load(std::memory_order_acquire);
           OutFrame hb = MakeOutFrame(FrameKind::kHeartbeat, 0, 0,
                                      EncodeToBytes(body));
+          CountSent(hb.h.kind);
           if (!WriteFrame(p, hb)) {
             MarkPeerDown(p, "heartbeat write failed");
             return;
@@ -808,6 +827,8 @@ class NetMesh final : public timely::NetRuntime {
   std::atomic<bool> stop_{false};
   std::atomic<bool> shut_{false};
   std::atomic<bool> failed_{false};
+  // Indexed by FrameKind (kData = 1 ... kNack = 6); slot 0 stays unused.
+  std::array<std::atomic<uint64_t>, 7> frames_sent_{};
   mutable std::mutex fail_mu_;
   std::string fail_reason_;
   std::vector<std::unique_ptr<Peer>> peers_;  // [process]; self is null

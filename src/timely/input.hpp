@@ -4,6 +4,13 @@
 // holds a capability at its current epoch; the input stream's frontier is
 // the minimum epoch across workers. Closing (or dropping) the handle
 // releases the capability, which is what eventually completes the dataflow.
+//
+// Inputs are step-staged producers. Their flushes and capability moves
+// apply to the local tracker replica at once, so probes see them with no
+// step in between; the bundles they cover, and (in a multi-process run)
+// their forward to peer replicas, wait for the start of the worker's next
+// step, which forwards every input change of the round as one progress
+// frame per peer and only then publishes the bundles.
 #pragma once
 
 #include <memory>
@@ -37,12 +44,14 @@ class InputCore {
   void Send(D item) {
     MEGA_CHECK(!closed_) << "Send on closed input";
     out_->Send(epoch_, std::move(item));
+    df_->ApplyInputChanges();
   }
 
   /// Sends a batch of records at the current epoch.
   void SendBatch(std::vector<D>&& items) {
     MEGA_CHECK(!closed_) << "Send on closed input";
     out_->SendBatch(epoch_, std::move(items));
+    df_->ApplyInputChanges();
   }
 
   /// Advances this worker's epoch to `t` (must be ≥ the current epoch),
@@ -52,9 +61,11 @@ class InputCore {
     MEGA_CHECK(TimestampTraits<T>::LessEqual(epoch_, t))
         << "input epochs must be monotone";
     if (epoch_ == t) return;
-    out_->Flush();
-    Change<T> changes[2] = {{out_loc_, t, +1}, {out_loc_, epoch_, -1}};
-    df_->tracker().Apply(std::span<const Change<T>>(changes, 2));
+    auto& changes = df_->input_changes();
+    out_->StageFlush(changes);
+    changes.push_back(Change<T>{out_loc_, t, +1});
+    changes.push_back(Change<T>{out_loc_, epoch_, -1});
+    df_->ApplyInputChanges();
     epoch_ = t;
   }
 
@@ -62,8 +73,10 @@ class InputCore {
   /// Idempotent; also invoked by the destructor.
   void Close() {
     if (closed_) return;
-    out_->Flush();
-    df_->tracker().ApplyOne(out_loc_, epoch_, -1);
+    auto& changes = df_->input_changes();
+    out_->StageFlush(changes);
+    changes.push_back(Change<T>{out_loc_, epoch_, -1});
+    df_->ApplyInputChanges();
     closed_ = true;
   }
 
@@ -87,13 +100,15 @@ template <typename D, typename T>
 std::pair<Input<D, T>, Stream<D, T>> NewInput(Scope<T>& scope) {
   uint32_t node = scope.ReserveNode("Input");
   uint32_t loc = scope.AddOutputPort(node);
+  DataflowInstance<T>* df = scope.df();
   auto out = std::make_shared<OutputHandle<D, T>>(
-      &scope.df()->tracker(), scope.worker(), scope.peers(), nullptr);
+      scope.worker(), scope.peers(), &df->input_changes(), nullptr);
   // Each worker contributes one capability at the minimum time; applied
   // after the tracker is finalized, before any worker proceeds.
   scope.AddInitialChange(loc, TimestampTraits<T>::Minimum(), +1);
-  auto core = std::make_shared<InputCore<D, T>>(out, loc, scope.df());
-  scope.df()->KeepAlive(out);
+  auto core = std::make_shared<InputCore<D, T>>(out, loc, df);
+  df->AddInput(out.get());
+  df->KeepAlive(out);
   return {core, Stream<D, T>(&scope, out.get(), loc)};
 }
 

@@ -2,6 +2,9 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
+
+#include "timely/progress.hpp"
 
 namespace timely {
 
@@ -25,13 +28,26 @@ class NodeBase {
   virtual bool CommitStep() { return false; }
 };
 
-/// Anything with buffered output that must be flushed at step end (output
-/// handles).
-class Flushable {
+/// Step-scoped flushing protocol implemented by output handles. A node
+/// first *stages* every non-empty buffer (bundles move out of the
+/// buffers, produced counts append to a change batch), then the batch is
+/// applied to the tracker in one consolidated call, and only then are
+/// staged bundles *committed* (made visible in channels) — the safety
+/// order, with one tracker acquisition per step instead of one per
+/// buffer plus one per step. Dataflow inputs follow the same protocol
+/// across the step boundary: their batch is applied at once and their
+/// bundles are committed at the start of the worker's next step.
+template <typename T>
+class StepFlushable {
  public:
-  virtual ~Flushable() = default;
-  /// Flushes buffers; returns true if anything moved.
-  virtual bool Flush() = 0;
+  virtual ~StepFlushable() = default;
+  /// Moves non-empty buffers into the staging area; appends their
+  /// produced counts to `changes`. Returns true if anything was staged.
+  virtual bool StageFlush(std::vector<Change<T>>& changes) = 0;
+  /// Publishes staged bundles to their channels. Must be called after
+  /// their produced counts have been applied (and, in a multi-process
+  /// run, forwarded). Returns true if anything was published.
+  virtual bool CommitFlush() = 0;
 };
 
 }  // namespace timely

@@ -101,33 +101,23 @@ struct Pact {
 template <typename T>
 class OpCtx;
 
-/// Step-scoped flushing protocol implemented by output handles. A node
-/// first *stages* every non-empty buffer (bundles move out of the
-/// buffers, produced counts append to the step's change batch), then the
-/// batch is applied to the tracker in one consolidated call, and only
-/// then are staged bundles *committed* (made visible in channels) — the
-/// safety order, with one tracker acquisition per step instead of one per
-/// buffer plus one per step.
-template <typename T>
-class StepFlushable : public Flushable {
- public:
-  /// Moves full buffers into the staging area; appends their produced
-  /// counts to `changes`. Returns true if anything was staged.
-  virtual bool StageFlush(std::vector<Change<T>>& changes) = 0;
-  /// Publishes staged bundles to their channels. Must be called after
-  /// `changes` has been applied.
-  virtual bool CommitFlush() = 0;
-};
-
-/// Typed output port handle. Owns per-channel, per-target buffers; flushing
-/// a buffer first applies the `produced` count to the progress tracker and
-/// only then makes the bundle visible in the channel (the safety order).
+/// Typed output port handle. Owns per-channel, per-target buffers. Every
+/// bundle is staged: its `produced` count goes into the owner's change
+/// batch — an operator's step batch, or a dataflow input's batch — and the
+/// bundle waits in the staging area until the owner has applied that batch
+/// and calls CommitFlush (the safety order).
 template <typename D, typename T>
 class OutputHandle final : public StepFlushable<T> {
  public:
-  OutputHandle(ProgressTracker<T>* tracker, uint32_t worker, uint32_t peers,
-               OpCtx<T>* cap_ctx)
-      : tracker_(tracker), worker_(worker), peers_(peers), cap_ctx_(cap_ctx) {}
+  /// `changes` receives the produced counts of bundles staged mid-send;
+  /// `cap_ctx` is the owning operator's context (null for inputs, which
+  /// check their epoch themselves).
+  OutputHandle(uint32_t worker, uint32_t peers,
+               std::vector<Change<T>>* changes, OpCtx<T>* cap_ctx)
+      : worker_(worker),
+        peers_(peers),
+        changes_(changes),
+        cap_ctx_(cap_ctx) {}
 
   /// Build-time: connect a consumer channel with its contract and the
   /// location of the consumer's input port.
@@ -164,28 +154,13 @@ class OutputHandle final : public StepFlushable<T> {
   /// caller's partitioning buffer cycles through the channel's pool. Only
   /// valid on single-attachment outputs whose contract delivers each of
   /// `items` to `target` (the caller's guarantee — e.g. a Route contract
-  /// reading a target the caller just wrote). Inside an operator step the
-  /// bundle is staged and becomes visible with the step's consolidated
-  /// progress batch; outside one it is published immediately.
+  /// reading a target the caller just wrote). The bundle is staged and
+  /// becomes visible with its owner's next commit.
   void SendBundle(const T& time, uint32_t target, std::vector<D>& items) {
     if (items.empty()) return;
     DebugCheckMaySend(time);
     MEGA_DCHECK(attachments_.size() == 1);
     AdoptAsBundle(attachments_[0], target, time, items);
-  }
-
-  /// Immediate flush (input handles, step-external senders): stage, apply
-  /// the consolidated batch, commit.
-  bool Flush() override {
-    flush_scratch_.clear();
-    bool any = StageFlush(flush_scratch_);
-    ConsolidateChanges(flush_scratch_);
-    if (!flush_scratch_.empty()) {
-      tracker_->Apply(std::span<const Change<T>>(flush_scratch_.data(),
-                                                 flush_scratch_.size()));
-    }
-    any |= CommitFlush();
-    return any;
   }
 
   bool StageFlush(std::vector<Change<T>>& changes) override {
@@ -313,37 +288,16 @@ class OutputHandle final : public StepFlushable<T> {
   /// for `target` — zero copy; `items` is replaced with a pooled buffer.
   void AdoptAsBundle(Attachment& att, uint32_t target, const T& time,
                      std::vector<D>& items) {
-    const bool staged = cap_ctx_ != nullptr;
-    if (!att.buffers[target].data.empty()) {
-      // Earlier per-record Sends stay ahead in FIFO order.
-      if (staged) {
-        StageBuffer(att, target, cap_ctx_->step_changes());
-      } else {
-        FlushBuffer(att, target);
-      }
-    }
-    Bundle<D, T> bundle;
-    bundle.time = time;
-    bundle.data = std::move(items);
+    // Earlier per-record Sends stay ahead in FIFO order.
+    if (!att.buffers[target].data.empty()) StageBuffer(att, target);
+    StageAdopted(att, target, time, items);
     items = att.chan->AcquireBuffer(worker_);
-    size_t att_idx = static_cast<size_t>(&att - attachments_.data());
-    if (staged) {
-      cap_ctx_->step_changes().push_back(Change<T>{
-          att.dst_loc, time, static_cast<int64_t>(bundle.data.size())});
-      staged_.push_back(StagedBundle{att_idx, target, std::move(bundle)});
-    } else {
-      tracker_->ApplyOne(att.dst_loc, time,
-                         static_cast<int64_t>(bundle.data.size()));
-      att.chan->Push(target, std::move(bundle));
-    }
   }
 
   /// Large-batch shuffle fast path: partition records into per-target
   /// pooled buffers (one branch-light pass, `targets_scratch_` already
   /// filled), then adopt each nonempty partition directly as a bundle —
-  /// no per-record buffer bookkeeping and no second copy. Production is
-  /// counted in one tracker batch (or folded into the step's batch inside
-  /// an operator) before any bundle becomes visible.
+  /// no per-record buffer bookkeeping and no second copy.
   void ScatterAdopt(Attachment& att, const T& time, std::vector<D>& items) {
     if (scatter_scratch_.size() < peers_) scatter_scratch_.resize(peers_);
     for (size_t i = 0; i < items.size(); ++i) {
@@ -351,51 +305,33 @@ class OutputHandle final : public StepFlushable<T> {
       MEGA_DCHECK(w < peers_);
       scatter_scratch_[w].push_back(std::move(items[i]));
     }
-    const bool staged = cap_ctx_ != nullptr;
-    size_t first_staged = staged_.size();
-    flush_scratch_.clear();
     for (uint32_t w = 0; w < peers_; ++w) {
       auto& part = scatter_scratch_[w];
       if (part.empty()) continue;
-      auto& changes = staged ? cap_ctx_->step_changes() : flush_scratch_;
-      // Keep earlier per-record Sends ahead of the adopted bundle: stage
-      // them first (or, on the immediate path, push them right away).
-      if (!att.buffers[w].data.empty()) {
-        if (staged) {
-          StageBuffer(att, w, changes);
-        } else {
-          FlushBuffer(att, w);
-        }
-      }
-      changes.push_back(
-          Change<T>{att.dst_loc, time, static_cast<int64_t>(part.size())});
-      Bundle<D, T> bundle;
-      bundle.time = time;
-      bundle.data = std::move(part);
+      // Keep earlier per-record Sends ahead of the adopted bundle.
+      if (!att.buffers[w].data.empty()) StageBuffer(att, w);
+      StageAdopted(att, w, time, part);
       part = att.chan->AcquireBuffer(worker_);
-      size_t att_idx = static_cast<size_t>(&att - attachments_.data());
-      staged_.push_back(StagedBundle{att_idx, w, std::move(bundle)});
     }
-    if (!staged) {
-      // Immediate context (e.g. a dataflow input): count production now,
-      // then publish the adopted bundles.
-      if (!flush_scratch_.empty()) {
-        tracker_->Apply(std::span<const Change<T>>(flush_scratch_.data(),
-                                                   flush_scratch_.size()));
-        flush_scratch_.clear();
-      }
-      for (size_t i = first_staged; i < staged_.size(); ++i) {
-        attachments_[staged_[i].att_idx].chan->Push(
-            staged_[i].target, std::move(staged_[i].bundle));
-      }
-      staged_.resize(first_staged);
-    }
+  }
+
+  /// Stages `items` whole as one bundle for `target`; `items` is left
+  /// moved-from for the caller to refill.
+  void StageAdopted(Attachment& att, uint32_t target, const T& time,
+                    std::vector<D>& items) {
+    changes_->push_back(
+        Change<T>{att.dst_loc, time, static_cast<int64_t>(items.size())});
+    Bundle<D, T> bundle;
+    bundle.time = time;
+    bundle.data = std::move(items);
+    size_t att_idx = static_cast<size_t>(&att - attachments_.data());
+    staged_.push_back(StagedBundle{att_idx, target, std::move(bundle)});
   }
 
   void Append(Attachment& att, uint32_t target, const T& time, D& item,
               bool may_move) {
     auto& buf = att.buffers[target];
-    if (!buf.data.empty() && !(buf.time == time)) FlushOrStage(att, target);
+    if (!buf.data.empty() && !(buf.time == time)) StageBuffer(att, target);
     if (buf.data.empty()) {
       buf.time = time;
       if (buf.data.capacity() == 0) buf.data = att.chan->AcquireBuffer(worker_);
@@ -405,7 +341,7 @@ class OutputHandle final : public StepFlushable<T> {
     } else {
       buf.data.push_back(item);
     }
-    if (buf.data.size() >= kBatch) FlushOrStage(att, target);
+    if (buf.data.size() >= kBatch) StageBuffer(att, target);
   }
 
   /// Bulk append of a whole batch to one target, flushing at bundle
@@ -414,7 +350,7 @@ class OutputHandle final : public StepFlushable<T> {
   void AppendRange(Attachment& att, uint32_t target, const T& time,
                    std::vector<D>& items, bool may_move) {
     auto& buf = att.buffers[target];
-    if (!buf.data.empty() && !(buf.time == time)) FlushOrStage(att, target);
+    if (!buf.data.empty() && !(buf.time == time)) StageBuffer(att, target);
     size_t i = 0;
     const size_t n = items.size();
     while (i < n) {
@@ -433,25 +369,17 @@ class OutputHandle final : public StepFlushable<T> {
                         items.begin() + i + take);
       }
       i += take;
-      if (buf.data.size() >= kBatch) FlushOrStage(att, target);
+      if (buf.data.size() >= kBatch) StageBuffer(att, target);
     }
   }
 
-  /// Mid-step bundle boundary. Inside an operator step the full buffer
-  /// must go through the step's staged batch — a direct Push would let it
-  /// overtake earlier staged bundles for the same target; outside one
-  /// (input handles) it publishes immediately.
-  void FlushOrStage(Attachment& att, uint32_t target) {
-    if (cap_ctx_ != nullptr) {
-      StageBuffer(att, target, cap_ctx_->step_changes());
-    } else {
-      FlushBuffer(att, target);
-    }
-  }
-
-  /// Moves a full buffer out as a bundle: the produced count goes into
+  /// Moves a buffer out as a bundle: the produced count goes into
   /// `changes` (applied before the bundle becomes visible), the bundle
-  /// into the staging area.
+  /// into the staging area — never straight into the channel, where it
+  /// would overtake earlier staged bundles for the same target.
+  void StageBuffer(Attachment& att, uint32_t target) {
+    StageBuffer(att, target, *changes_);
+  }
   void StageBuffer(Attachment& att, uint32_t target,
                    std::vector<Change<T>>& changes) {
     auto& buf = att.buffers[target];
@@ -465,37 +393,21 @@ class OutputHandle final : public StepFlushable<T> {
     staged_.push_back(StagedBundle{att_idx, target, std::move(bundle)});
   }
 
-  /// Immediate flush of one buffer (mid-step bundle boundary): count
-  /// production, then publish, without waiting for step end.
-  void FlushBuffer(Attachment& att, uint32_t target) {
-    auto& buf = att.buffers[target];
-    if (buf.data.empty()) return;
-    // Count production before the bundle becomes visible anywhere.
-    tracker_->ApplyOne(att.dst_loc, buf.time,
-                       static_cast<int64_t>(buf.data.size()));
-    Bundle<D, T> bundle;
-    bundle.time = buf.time;
-    bundle.data = std::move(buf.data);
-    buf.data.clear();
-    att.chan->Push(target, std::move(bundle));
-  }
-
   struct StagedBundle {
     size_t att_idx;
     uint32_t target;
     Bundle<D, T> bundle;
   };
 
-  ProgressTracker<T>* tracker_;
   uint32_t worker_;
   uint32_t peers_;
+  std::vector<Change<T>>* changes_;  // the owner's change batch
   OpCtx<T>* cap_ctx_;  // nullable (input handles have no operator context)
   std::vector<Attachment> attachments_;
   std::vector<uint32_t> targets_scratch_;
   std::vector<std::vector<D>> scatter_scratch_;  // per target worker
   std::vector<StagedBundle> staged_;
   std::deque<Bundle<D, T>> commit_scratch_;
-  std::vector<Change<T>> flush_scratch_;
 };
 
 /// Typed input port handle: drains queued bundles and exposes the port's
@@ -735,7 +647,7 @@ class OperatorBuilder {
     uint32_t loc = scope_->AddOutputPort(node_id_);
     node_->ctx().AddOutputLoc(loc);
     auto handle = std::make_shared<OutputHandle<D, T>>(
-        &scope_->df()->tracker(), scope_->worker(), scope_->peers(),
+        scope_->worker(), scope_->peers(), &node_->ctx().step_changes(),
         &node_->ctx());
     auto* raw = handle.get();
     node_->AddFlushable(raw);

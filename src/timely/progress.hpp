@@ -6,17 +6,19 @@
 // reachability relation, each input port's frontier (paper Definition 1) is
 // derived: the antichain of timestamps that may still arrive there.
 //
-// The original system broadcasts count deltas between workers; since this
-// reproduction runs workers as threads of one process, the tracker is a
-// shared structure with a short-critical-section mutex. The safety protocol
+// The original system broadcasts count deltas between workers; here the
+// workers of one process share one tracker replica behind a
+// short-critical-section mutex, and replicas of different processes
+// exchange locally originated batches over the mesh. The safety protocol
 // is the standard one:
 //   * a producer applies its `produced` increment BEFORE a message becomes
-//     visible in a channel queue,
+//     visible in a channel queue — and, across processes, forwards it to
+//     the peer replicas before the message is published,
 //   * a consumer applies its `consumed` decrement and any capability
 //     changes in one atomic batch at the end of an operator scheduling
 //     step, after flushing everything the step produced.
-// Under this discipline counts never go transiently negative and frontiers
-// never advance past live work.
+// Under this discipline frontiers never advance past live work, and once
+// a dataflow is built they only move forward (checked in debug builds).
 #pragma once
 
 #include <algorithm>
@@ -251,7 +253,7 @@ class ProgressTracker {
     }
     finalized_ = true;
     // Remote progress batches that raced ahead of our own finalize were
-    // stashed by ApplyUnbroadcast; merge them now that the graph exists.
+    // stashed by ApplyLocal; merge them now that the graph exists.
     if (!pre_finalize_remote_.empty()) {
       std::vector<Change<T>> stashed = std::move(pre_finalize_remote_);
       pre_finalize_remote_.clear();
@@ -264,6 +266,17 @@ class ProgressTracker {
     return finalized_;
   }
 
+  /// Marks the end of construction: every worker of this process has
+  /// applied its initial capabilities. Until then the replica is still
+  /// being assembled (remote batches may land before the local initial
+  /// capabilities they are relative to); from then on every port frontier
+  /// only moves forward, which debug builds check on every apply.
+  /// Idempotent.
+  void MarkBuilt() {
+    std::lock_guard<std::mutex> lock(mu_);
+    built_ = true;
+  }
+
   /// Installs the hook that forwards locally originated batches to remote
   /// tracker replicas. Must be installed before any post-build Apply; the
   /// runtime wires it when a dataflow's shared state is first created.
@@ -272,28 +285,20 @@ class ProgressTracker {
     broadcast_ = std::move(fn);
   }
 
-  /// Applies a batch of count deltas atomically and refreshes affected
-  /// frontiers. Batches applied through this entry point are *locally
-  /// originated*: in a multi-process run they are also forwarded to every
-  /// remote tracker replica, after the local apply and outside the lock —
-  /// still before the caller can make any corresponding bundle visible,
-  /// which is the cross-process safety order (counts travel ahead of data
-  /// on the same FIFO peer stream).
+  /// Applies a locally originated batch and forwards it at once: the
+  /// operator-step path. Equivalent to ApplyLocal then Forward.
   void Apply(std::span<const Change<T>> changes) {
-    if (changes.empty()) return;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      MEGA_CHECK(finalized_);
-      ApplyLocked(changes);
-    }
-    if (broadcast_) broadcast_(changes);
+    ApplyLocal(changes);
+    Forward(changes);
   }
 
-  /// Applies a batch without forwarding it: remote-originated merges (the
-  /// sender already owns the batch) and the statically replicated initial
-  /// capabilities. Before Finalize the batch is stashed and merged when
-  /// the graph is installed — remote processes may finish building first.
-  void ApplyUnbroadcast(std::span<const Change<T>> changes) {
+  /// Applies a batch to this replica only, atomically, and refreshes the
+  /// affected frontiers. Used for remote merges (the sender owns the
+  /// batch), for the statically replicated initial capabilities, and for
+  /// input changes whose forward waits for the worker's next step. Before
+  /// Finalize the batch is stashed and merged when the graph is
+  /// installed — remote processes may finish building first.
+  void ApplyLocal(std::span<const Change<T>> changes) {
     if (changes.empty()) return;
     std::lock_guard<std::mutex> lock(mu_);
     if (!finalized_) {
@@ -302,6 +307,15 @@ class ProgressTracker {
       return;
     }
     ApplyLocked(changes);
+  }
+
+  /// Hands a locally originated batch, already applied here, to every
+  /// remote replica (a no-op in single-process runs). Callers forward a
+  /// batch before publishing any bundle it covers: counts travel ahead of
+  /// data on the same FIFO peer stream. A forward is checked where it
+  /// lands, as a remote merge into each peer's replica.
+  void Forward(std::span<const Change<T>> changes) {
+    if (!changes.empty() && broadcast_) broadcast_(changes);
   }
 
  private:
@@ -341,6 +355,9 @@ class ProgressTracker {
         for (const T& t : loc_frontier_[loc].elements()) f.Insert(t);
       }
       if (!(f == port_frontier_[p])) {
+        MEGA_DCHECK(!built_ || AtOrBeyond(f, port_frontier_[p]))
+            << "frontier of input port " << input_port_locs_[p]
+            << " moved backward";
         port_frontier_[p] = std::move(f);
         any_changed = true;
       }
@@ -396,6 +413,16 @@ class ProgressTracker {
   }
 
  private:
+  /// True if `next` is at or beyond `prev`: every time in `next` is at or
+  /// after some time in `prev`. An empty frontier is beyond everything
+  /// and stays empty.
+  static bool AtOrBeyond(const Antichain<T>& next, const Antichain<T>& prev) {
+    for (const T& t : next.elements()) {
+      if (!prev.LessEqual(t)) return false;
+    }
+    return true;
+  }
+
   static void CheckAcyclic(const std::vector<std::vector<uint32_t>>& adj) {
     // Kahn's algorithm; the engine supports acyclic dataflows only (all of
     // Megaphone's dataflows are acyclic).
@@ -418,6 +445,7 @@ class ProgressTracker {
 
   mutable std::mutex mu_;
   bool finalized_ = false;
+  bool built_ = false;  // frontiers only move forward from here on
   uint32_t num_locs_ = 0;
   int64_t nonempty_locs_ = 0;
   std::atomic<uint64_t> version_{0};

@@ -111,7 +111,7 @@ struct DataflowShared {
 
 /// Connects one dataflow's tracker replica to the mesh: locally
 /// originated batches are encoded and broadcast to every peer process,
-/// and incoming progress frames decode into ApplyUnbroadcast (no echo).
+/// and incoming progress frames decode into ApplyLocal (no echo).
 /// Called exactly once per dataflow, by the worker whose
 /// GetOrCreateDataflowShared call created the shared state — before any
 /// other worker can observe it, and before the creator's own build
@@ -125,7 +125,7 @@ inline void WireDistributedProgress(
     // field-wise elements), whose decode bounds-checks the count and
     // clamps the speculative reserve.
     auto changes = megaphone::Decode<std::vector<Change<T>>>(r);
-    shared->tracker.ApplyUnbroadcast(
+    shared->tracker.ApplyLocal(
         std::span<const Change<T>>(changes.data(), changes.size()));
   });
   shared->tracker.SetBroadcast(
@@ -144,8 +144,9 @@ class DataflowInstanceBase {
   virtual bool Complete() const = 0;
 };
 
-/// One worker's instance of a dataflow: its local operator nodes plus a
-/// cached snapshot of all input-port frontiers.
+/// One worker's instance of a dataflow: its local operator nodes, its
+/// dataflow inputs' staged output, and a cached snapshot of all input-port
+/// frontiers.
 template <typename T>
 class DataflowInstance final : public DataflowInstanceBase {
  public:
@@ -159,8 +160,8 @@ class DataflowInstance final : public DataflowInstanceBase {
         runtime_(runtime) {}
 
   bool Step() override {
+    bool active = PublishInputs();
     RefreshFrontiers();
-    bool active = false;
     for (auto& node : nodes_) active |= node->Schedule(*this);
     // One consolidated tracker transaction for the whole step: every
     // node's consumed counts, capability changes, and staged produced
@@ -181,7 +182,33 @@ class DataflowInstance final : public DataflowInstanceBase {
   /// The step's accumulated progress batch; nodes append during Schedule.
   std::vector<Change<T>>& step_changes() { return step_changes_; }
 
-  bool Complete() const override { return shared_->tracker.Complete(); }
+  /// Where this worker's dataflow inputs stage produced counts and
+  /// capability moves; ApplyInputChanges takes them from here.
+  std::vector<Change<T>>& input_changes() { return input_changes_; }
+
+  /// Applies the inputs' staged changes to the local replica at once and,
+  /// in a multi-process run, queues them for the next step's forward.
+  void ApplyInputChanges() {
+    if (input_changes_.empty()) return;
+    ConsolidateChanges(input_changes_);
+    shared_->tracker.ApplyLocal(std::span<const Change<T>>(
+        input_changes_.data(), input_changes_.size()));
+    if (runtime_->net != nullptr) {
+      unforwarded_.insert(unforwarded_.end(), input_changes_.begin(),
+                          input_changes_.end());
+    }
+    input_changes_.clear();
+  }
+
+  /// Registers a dataflow input's output handle; its staged bundles are
+  /// published at the start of every step.
+  void AddInput(StepFlushable<T>* out) { inputs_.push_back(out); }
+
+  /// Complete once every count has drained — here and, with the inputs'
+  /// last changes forwarded, at every peer replica.
+  bool Complete() const override {
+    return unforwarded_.empty() && shared_->tracker.Complete();
+  }
 
   /// Frontier of the dense input-port index `idx`, as of the last refresh.
   const Antichain<T>& FrontierOfPort(int32_t idx) const {
@@ -222,6 +249,24 @@ class DataflowInstance final : public DataflowInstanceBase {
   uint64_t seen_version_ = ~uint64_t{0};
   std::vector<Antichain<T>> frontiers_;
   std::vector<Change<T>> step_changes_;
+  std::vector<StepFlushable<T>*> inputs_;  // kept alive by keepalive_
+  std::vector<Change<T>> input_changes_;   // staged, not yet applied
+  std::vector<Change<T>> unforwarded_;     // applied, not yet forwarded
+
+  /// Start of a step: forwards every input change since the last step as
+  /// one batch (one progress frame per peer), then publishes the bundles
+  /// those changes cover — no bundle is visible before its count.
+  bool PublishInputs() {
+    if (!unforwarded_.empty()) {
+      ConsolidateChanges(unforwarded_);
+      shared_->tracker.Forward(std::span<const Change<T>>(
+          unforwarded_.data(), unforwarded_.size()));
+      unforwarded_.clear();
+    }
+    bool any = false;
+    for (auto* in : inputs_) any |= in->CommitFlush();
+    return any;
+  }
 };
 
 /// Handed to the dataflow-construction closure; assigns node, port, and
@@ -317,12 +362,14 @@ class Worker {
       FinishBuild(scope, spec, *shared);
       dataflows_.push_back(std::move(inst));
       runtime_->build_barrier.Wait();
+      shared->tracker.MarkBuilt();
       return;
     } else {
       decltype(auto) result = build(scope);
       FinishBuild(scope, spec, *shared);
       dataflows_.push_back(std::move(inst));
       runtime_->build_barrier.Wait();
+      shared->tracker.MarkBuilt();
       return result;
     }
   }
@@ -381,13 +428,13 @@ class Worker {
     // remote workers' shares — every process's tracker replica starts
     // with the full W-worker initial state, with no startup race against
     // in-flight progress frames.
-    shared.tracker.ApplyUnbroadcast(
+    shared.tracker.ApplyLocal(
         std::span<const Change<T>>(init.data(), init.size()));
     uint32_t remote = runtime_->workers - runtime_->local_workers;
     if (remote > 0 && index_ == runtime_->local_begin) {
       std::vector<Change<T>> scaled(init.begin(), init.end());
       for (auto& c : scaled) c.delta *= static_cast<int64_t>(remote);
-      shared.tracker.ApplyUnbroadcast(
+      shared.tracker.ApplyLocal(
           std::span<const Change<T>>(scaled.data(), scaled.size()));
     }
   }

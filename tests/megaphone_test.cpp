@@ -584,18 +584,26 @@ TEST(Megaphone, StateMachineInterface) {
 
 TEST(Megaphone, ThrottledStateChannelStillCorrect) {
   // A tight bandwidth throttle on the state channel delays migrations but
-  // must not affect correctness or completion.
+  // must not affect correctness or completion. The imbalanced assignment
+  // moves two bins from each of workers 0 and 1; each sender's bucket
+  // starts with one second of credit (`rate` bytes) and every byte beyond
+  // it waits for the rate, so the state must exceed that credit for the
+  // throttle to engage. Small chunk frames keep the pacing even.
   const uint64_t epochs = 25, recs = 48, keys = 128, seed = 23;
-  const uint32_t workers = 4, bins = 16;
+  const uint32_t workers = 4, bins = 16, senders = 2;
+  const uint64_t rate = 480;  // bytes/s per sending worker
   std::mutex mu;
   std::vector<Row> rows;
+  const uint64_t bytes_before = chunk_counters().bytes.load();
+  const uint64_t start = NowNanos();
   Execute(timely::Config{workers}, [&](Worker& w) {
     auto handles = w.Dataflow<uint64_t>([&](Scope<uint64_t>& s) {
       auto [ctrl_in, ctrl_stream] = NewInput<ControlInst>(s);
       auto [data_in, data_stream] = NewInput<uint64_t>(s);
       Config cfg;
       cfg.num_bins = bins;
-      cfg.state_bytes_per_sec = 64 * 1024;  // deliberately slow
+      cfg.state_bytes_per_sec = rate;
+      cfg.chunk_bytes = 32;
       auto out = Unary<BinState, std::pair<uint64_t, uint64_t>>(
           ctrl_stream, data_stream,
           [](const uint64_t& k) { return HashMix64(k); },
@@ -633,8 +641,18 @@ TEST(Megaphone, ThrottledStateChannelStillCorrect) {
     controller.Close(epochs);
     data_in->Close();
   });
+  const double seconds = static_cast<double>(NowNanos() - start) * 1e-9;
+  const uint64_t bytes = chunk_counters().bytes.load() - bytes_before;
   std::sort(rows.begin(), rows.end());
   EXPECT_EQ(rows, ReferenceCounts(seed, epochs, recs, keys));
+  // The busier sender moved at least bytes / senders; everything past its
+  // starting credit left at `rate`, which bounds the run from below.
+  const uint64_t busiest = bytes / senders;
+  ASSERT_GT(busiest, rate) << "the moved state fits in the starting credit";
+  const double floor_s =
+      static_cast<double>(busiest - rate) / static_cast<double>(rate);
+  EXPECT_GE(seconds, floor_s) << bytes << " state bytes in " << seconds
+                              << " s: the throttle never held a frame";
 }
 
 /// A throttled all-at-once migration: two workers, four dense bins of
